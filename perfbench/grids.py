@@ -1,4 +1,4 @@
-"""Fixed input grids of the three workloads and their seeded generators.
+"""Fixed input grids of the two workloads and their seeded generators.
 
 Every grid is a fixed list of named points.  The seed only chooses the
 order in which a round visits them (and, for the service mix, the order of
@@ -79,11 +79,9 @@ def build_net(point):
 # ---------------------------------------------------------------------------
 
 # A run's ops are whole rounds, so a grid whose successful ops number
-# 1 mod 4 (throughput-cold 29, state-space 25) puts the median and the p75
-# of two or three rounds inside the samples of a single grid point instead
-# of between two points whose latencies may differ tenfold.  The
-# state-space grid's cheap queries put its median inside a cluster of
-# similar ops, whose pooled samples vary less than one op's two.
+# 1 mod 4 (29) puts the median of several rounds inside the samples of a
+# single grid point instead of between two points whose latencies may
+# differ tenfold.
 
 THROUGHPUT_GRID = [
     _point("fig1", "fig1"),
@@ -105,67 +103,6 @@ THROUGHPUT_GRID = [
     _point("gbn3-loss10", "go_back_n", (3,), loss_probability=LOSS),
     _point("sr2-loss10", "selective_repeat", (2,), loss_probability=LOSS),
     _point("sr3-loss10", "selective_repeat", (3,), loss_probability=LOSS),
-]
-
-# ---------------------------------------------------------------------------
-# state-space: large explorations with no exact linear solve
-# ---------------------------------------------------------------------------
-
-_SW4_FAST = _point("sw4-loss10-fast", "sliding_window", (4,), loss_probability=LOSS,
-                   packet_delay=2, ack_delay=2, timeout=6)
-_GBN4_FAST = _point("gbn4-loss10-fast", "go_back_n", (4,), loss_probability=LOSS,
-                    packet_delay=2, ack_delay=2, timeout=6)
-_SW3 = _point("sw3-loss10", "sliding_window", (3,), loss_probability=LOSS)
-_SW4 = _point("sw4-loss10", "sliding_window", (4,), loss_probability=LOSS)
-_SW5 = _point("sw5-loss10", "sliding_window", (5,), loss_probability=LOSS)
-_SW6 = _point("sw6-loss10", "sliding_window", (6,), loss_probability=LOSS)
-_GBN3 = _point("gbn3-loss10", "go_back_n", (3,), loss_probability=LOSS)
-_GBN4 = _point("gbn4-loss10", "go_back_n", (4,), loss_probability=LOSS)
-_SR3 = _point("sr3-loss10", "selective_repeat", (3,), loss_probability=LOSS)
-_PC8 = _point("pc8-loss10", "producer_consumer", buffer_size=8, loss_probability=LOSS)
-
-
-def _op(kind, point, **params):
-    label = f"{kind}:{point['label']}"
-    if params:
-        label += ":" + ",".join(f"{key}={params[key]}" for key in sorted(params))
-    return {"label": label, "kind": kind, "point": point, "params": params}
-
-
-STATE_SPACE_GRID = [
-    _op("decision", _SW4_FAST),
-    _op("decision", _GBN4_FAST),
-    _op("untimed", _SW6),
-    _op("gspn", _SW3),
-    _op("gspn", _SW4),
-    _op("gspn", _GBN3),
-    _op("gspn", _GBN4),
-    _op("gspn", _SR3),
-    _op("gspn", _PC8),
-    # Queries that must explore the whole reachable set ...
-    _op("deadlock", _SW5),
-    _op("deadlock", _GBN4),
-    _op("bound", _SW5, place="w0_in_medium", k=1),
-    _op("bound", _SR3, place="sr0_in_medium", k=1),
-    _op("reachable", _SW5, target={"sender_ready": 2}),
-    _op("reachable", _PC8, target={"buffer_items": 9}),
-    _op("reachable", _SR3, target={
-        "receiver_ready": 1,
-        **{f"sr{i}_in_medium": 1 for i in range(3)},
-    }),
-    _op("deadlock", _PC8),
-    _op("deadlock", _SW3),
-    # ... and queries that stop early with a witness.
-    _op("bound", _SW6, place="w5_lost", k=0),
-    _op("bound", _SW5, place="w4_lost", k=0),
-    _op("bound", _GBN4, place="g3_lost", k=0),
-    _op("bound", _GBN3, place="g2_lost", k=0),
-    _op("bound", _SR3, place="sr2_lost", k=0),
-    _op("reachable", _SW6, target={
-        "sender_ready": 1, "receiver_ready": 1,
-        **{f"w{i}_in_medium": 1 for i in range(6)},
-    }),
-    _op("untimed", _SW5),
 ]
 
 # ---------------------------------------------------------------------------
@@ -221,6 +158,19 @@ def symbol_bindings(point, raw, symbols):
 # ---------------------------------------------------------------------------
 # service-mix: smaller nets, one item per (net, stage)
 # ---------------------------------------------------------------------------
+
+_SW3 = _point("sw3-loss10", "sliding_window", (3,), loss_probability=LOSS)
+_SW4 = _point("sw4-loss10", "sliding_window", (4,), loss_probability=LOSS)
+_SW6 = _point("sw6-loss10", "sliding_window", (6,), loss_probability=LOSS)
+_GBN3 = _point("gbn3-loss10", "go_back_n", (3,), loss_probability=LOSS)
+
+
+def _op(kind, point, **params):
+    label = f"{kind}:{point['label']}"
+    if params:
+        label += ":" + ",".join(f"{key}={params[key]}" for key in sorted(params))
+    return {"label": label, "kind": kind, "point": point, "params": params}
+
 
 # Seven items: at most 10 artifacts per client block, so a block's hits
 # find everything the last blocks of both clients built in the server's

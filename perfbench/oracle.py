@@ -192,15 +192,12 @@ def _symbolic_expect(point):
 def generate():
     import grids
 
-    expected = {"throughput-cold": {}, "state-space": {}, "service-mix": {}}
+    expected = {"throughput-cold": {}, "service-mix": {}}
     for point in grids.THROUGHPUT_GRID:
         expected["throughput-cold"][point["label"]] = _performance_expect(
             grids.build_net(point), point["accept"]
         )
         print("throughput-cold", point["label"], flush=True)
-    for op in grids.STATE_SPACE_GRID:
-        expected["state-space"][op["label"]] = _op_expect(op, grids.build_net(op["point"]))
-        print("state-space", op["label"], flush=True)
     for point in grids.SYMBOLIC_GRID:
         expected["throughput-cold"][point["label"]] = _symbolic_expect(point)
         print("throughput-cold", point["label"], flush=True)

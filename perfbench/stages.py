@@ -1,10 +1,11 @@
 """One analysis request per stage, run untraced (through the facade) or traced.
 
-``facade`` runs a request the way a user does: one ``AnalysisSession``
-call.  ``layered`` runs the same request by calling the layer functions the
-facade reaches one by one, each inside a span, on the same inputs and
-producing the same artifacts.  Both return ``(artifact, summary)``; the
-summary holds what the oracle checks and the counts the traced run reports.
+``facade`` runs a performance request the way a user does: one
+``AnalysisSession`` call.  ``layered`` runs a request of any stage by
+calling the layer functions the facade reaches one by one, each inside a
+span, on the same inputs and producing the same artifacts.  Both return
+``(artifact, summary)``; the summary holds what the oracle checks and the
+counts the traced run reports.
 """
 
 from __future__ import annotations
@@ -59,31 +60,15 @@ def query_summary(result):
 # ---------------------------------------------------------------------------
 
 
-def facade(session, kind, net, params, accept):
-    """Run one request through ``session``; returns ``(artifact, summary)``."""
-    if kind == "performance":
-        analysis = session.performance(net)
-        summary = performance_summary(
-            analysis.state_count(), len(analysis.decision.anchors),
-            analysis.cycle_time().value,
-            {name: analysis.throughput(name).value for name in accept},
-        )
-        return analysis, summary
-    if kind == "decision":
-        collapse = session.decision(net)
-        return collapse, {"states": collapse.trg.state_count,
-                          "decision_nodes": len(collapse.anchors),
-                          "decision_edges": len(collapse.edges)}
-    if kind == "untimed":
-        graph = session.untimed_graph(net)
-        return graph, {"states": graph.state_count, "edges": graph.edge_count}
-    if kind == "gspn":
-        result = session.gspn_solution(net)
-        return result, {"tangible_states": len(result.tangible_markings),
-                        "throughput": {name: result.throughput[name] for name in accept}}
-    kwargs = {key: params[key] for key in ("target", "place", "k") if key in params}
-    result = session.query(net, kind, **kwargs)
-    return result, query_summary(result)
+def facade(session, net, accept):
+    """Run one performance request through ``session``; returns ``(artifact, summary)``."""
+    analysis = session.performance(net)
+    summary = performance_summary(
+        analysis.state_count(), len(analysis.decision.anchors),
+        analysis.cycle_time().value,
+        {name: analysis.throughput(name).value for name in accept},
+    )
+    return analysis, summary
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-#: Fixed tail percentile of each workload: the highest standard percentile
-#: with at least ten samples beyond it at the op count one run makes.
+#: Fixed tail percentile of each workload, with at least ten samples beyond
+#: it in a run.  Throughput-cold's p81 lies amid the samples of its three
+#: window-3 symbolic models, which cost about the same, whatever the number
+#: of rounds.
 TAIL_PERCENTILE = {
-    "throughput-cold": 75,
-    "state-space": 75,
+    "throughput-cold": 81,
     "service-mix": 90,
 }
 
@@ -84,21 +85,21 @@ class Tally:
         }
 
 
-#: Fewest measured ops of an untraced run, so that ten lie beyond its p75.
-MIN_OPS = 40
+#: Fewest rounds of a run, so that ten samples lie beyond its tail percentile.
+MIN_ROUNDS = 3
 #: An in-process hit sample is the median of this many repeats of the
 #: request; a single sub-millisecond repeat right after a large build
 #: mostly times the caches the build evicted.
-HIT_REPEATS = 5
+HIT_REPEATS = 3
 
 
 def run_rounds(seconds, grid, rng, do_op, trace):
     """Whole seeded rounds of ``grid`` until ``seconds`` have passed.
 
     Every round visits the whole grid, so the mix of ops in a run does not
-    depend on the seed.  An untraced run makes at least ``MIN_OPS`` ops; a
-    traced run alternates untraced and traced rounds, starting untraced,
-    for at least two rounds.  Returns the number of rounds.
+    depend on the seed.  A run makes at least ``MIN_ROUNDS`` rounds; a
+    traced run alternates untraced and traced rounds, starting untraced.
+    Returns the number of rounds.
     """
     from grids import round_order
 
@@ -108,8 +109,7 @@ def run_rounds(seconds, grid, rng, do_op, trace):
         for item in round_order(grid, rng):
             do_op(item, trace and rounds % 2 == 1)
         rounds += 1
-        enough = rounds >= 2 if trace else rounds * len(grid) >= MIN_OPS
-        if time.perf_counter() - start >= seconds and enough:
+        if time.perf_counter() - start >= seconds and rounds >= MIN_ROUNDS:
             return rounds
 
 
@@ -189,7 +189,7 @@ def layer_metrics(tracer, ops, counts, rounds, deltas):
 
 
 class InProcess:
-    """Shared machinery of the two workloads driven in this process."""
+    """Machinery of a workload driven in this process."""
 
     def __init__(self, name, seed, trace):
         import oracle
@@ -209,6 +209,13 @@ class InProcess:
         self.round_seconds = {True: 0.0, False: 0.0}
         self.round_ops = {True: 0, False: 0}
         self.counter_deltas = {}
+        # The current op's ``(latency, states)`` and hit sample, and the
+        # calibration slices around them: the last one before the op and
+        # the one between the op and its hits.
+        self.op_sample = None
+        self.hit_sample = None
+        self.last_slice = None
+        self.mid_slice = None
 
     def close(self):
         pass
@@ -240,19 +247,19 @@ class InProcess:
         if problems:
             self.tally.fail(label, "; ".join(problems), wrong=1)
             return False
-        self.tally.latencies.append(latency)
-        self.tally.build_latencies.append(latency)
-        self.tally.states += states
-        self.tally.state_seconds += latency
+        self.op_sample = (latency, states)
         return True
 
     def run(self, seconds):
         """The measured rounds.
 
-        ``ops_per_s`` divides by the time spent in ops, leaving out the
-        benchmark's own work between them (net generation, checks, cache
-        probes, collector resets).
+        The rates divide by time spent in ops, leaving out the benchmark's
+        own work between them (net generation, checks, cache probes,
+        collector resets).  Every latency is in seconds at the reference
+        speed (``calibration``): calibration slices before an op, between
+        the op and its hits and after the hits scale both.
         """
+        from calibration import scale, slice_seconds
 
         def op(item, traced):
             if traced:
@@ -262,7 +269,20 @@ class InProcess:
                 after = cache_counters()
                 for key, value in after.items():
                     self.counter_deltas[key] = self.counter_deltas.get(key, 0) + value - before[key]
+            after = slice_seconds()
+            if self.op_sample is not None and self.hit_sample is not None:
+                latency, states = self.op_sample
+                latency *= scale(self.last_slice, self.mid_slice)
+                tally = self.tally
+                tally.latencies.append(latency)
+                tally.build_latencies.append(latency)
+                tally.states += states
+                tally.state_seconds += latency
+                tally.hit_latencies.append(self.hit_sample * scale(self.mid_slice, after))
+            self.op_sample = self.hit_sample = None
+            self.last_slice = after
 
+        self.last_slice = slice_seconds()
         rounds = run_rounds(seconds, self.grid, self.rng, op, self.trace)
         if self.trace:
             return self.layer_metrics(rounds // 2)
@@ -279,22 +299,24 @@ class InProcess:
         metrics["trace.overhead_ratio"] = (self.round_seconds[True] / ops) / untraced_mean - 1
         return metrics
 
-    def hit_probe(self, label, session, kind, net, params, accept, artifact, constraints,
-                  traced, op):
+    def hit_probe(self, label, session, net, accept, artifact, constraints, traced, op):
         """Repeat the request, readout included, on the session that just
         built it: memory hits, ``HIT_REPEATS`` of them."""
+        from calibration import slice_seconds
         from stages import facade, traced_hit
 
         if traced:
-            tier = traced_hit(self.tracer, op, session, kind, net, params, artifact, constraints)
+            tier = traced_hit(self.tracer, op, session, "performance", net, {}, artifact,
+                              constraints)
             self.counts.add("fetches", 2)
             self.counts.add("fetch_hits", tier == "memory")
             return
+        self.mid_slice = slice_seconds()
         samples = []
         for _ in range(HIT_REPEATS):
             start = time.perf_counter()
             if constraints is None:
-                again, _summary = facade(session, kind, net, params, accept)
+                again, _summary = facade(session, net, accept)
             else:
                 again = session.performance(net, constraints)
                 again.cycle_time()
@@ -303,7 +325,7 @@ class InProcess:
             if again is not artifact:
                 self.tally.fail(label, "a repeated request was not served from the cache", wrong=1)
                 return
-        self.tally.hit_latencies.append(statistics.median(samples))
+        self.hit_sample = statistics.median(samples)
 
 
 class ThroughputCold(InProcess):
@@ -321,33 +343,26 @@ class ThroughputCold(InProcess):
         if "bindings" in point:
             self.symbolic_request(point, traced)
         else:
-            self.run_request(point["label"], "performance", point, {}, traced)
+            self.numeric_request(point, traced)
 
-    def run_request(self, label, kind, point, params, traced):
+    def numeric_request(self, point, traced):
         from repro.analysis import AnalysisSession
         from stages import facade, layered
 
+        label, accept = point["label"], point["accept"]
         net = self.grids.build_net(point)
         session = AnalysisSession()
-        accept = point["accept"] if kind in ("performance", "gspn") else ()
         if traced:
-            run = lambda op: layered(self.tracer, op, self.counts, kind, net, params, accept)  # noqa: E731
+            run = lambda op: layered(self.tracer, op, self.counts, "performance", net, {}, accept)  # noqa: E731
         else:
-            run = lambda op: facade(session, kind, net, params, accept)  # noqa: E731
+            run = lambda op: facade(session, net, accept)  # noqa: E731
         outcome = self.timed(label, traced, run)
         if outcome is None:
             return
         latency, (artifact, summary) = outcome
-        expect = self.expected[label]
-        if kind in ("deadlock", "bound", "reachable"):
-            states = summary["states_explored"]
-            if traced:
-                self.counts.add("query_full", expect["full_states"])
-        else:
-            states = summary.get("states", summary.get("tangible_states"))
-        if self.record(label, latency, summary, expect, kind, states):
-            self.hit_probe(label, session, kind, net, params, accept, artifact, None, traced,
-                           self.op_id)
+        if self.record(label, latency, summary, self.expected[label], "performance",
+                       summary["states"]):
+            self.hit_probe(label, session, net, accept, artifact, None, traced, self.op_id)
 
     def symbolic_request(self, point, traced):
         from repro.analysis import AnalysisSession
@@ -389,27 +404,12 @@ class ThroughputCold(InProcess):
         states = artifact.decision.trg.state_count
         if self.record(point["label"], latency, summary, self.expected[point["label"]],
                        "symbolic", states):
-            self.hit_probe(point["label"], session, "performance", net, {}, accept, artifact,
-                           constraints, traced, self.op_id)
-
-
-class StateSpace(ThroughputCold):
-    """Large explorations with no exact linear solve."""
-
-    def __init__(self, seed, trace):
-        import grids
-
-        InProcess.__init__(self, "state-space", seed, trace)
-        self.grid = grids.STATE_SPACE_GRID
-        self.grids = grids
-
-    def do_op(self, op, traced):
-        self.run_request(op["label"], op["kind"], op["point"], op["params"], traced)
+            self.hit_probe(point["label"], session, net, accept, artifact, constraints, traced,
+                           self.op_id)
 
 
 WORKLOADS = {
     "throughput-cold": ThroughputCold,
-    "state-space": StateSpace,
 }
 
 
