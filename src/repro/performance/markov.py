@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, List, Union
 
 from ..exceptions import NotErgodicError
 from ..reachability.decision import DecisionGraph
 from ..symbolic.linexpr import LinExpr
 from ..symbolic.ratfunc import RatFunc
-from .linear import solve_linear_system
+from .linear import solve_sparse
 from .traversal import recurrent_anchors, terminal_classes
 
 Scalar = Union[Fraction, RatFunc]
@@ -126,21 +126,13 @@ def embedded_chain_analysis(
 
     # Unknowns: pi_0 .. pi_{n-1}.  Equations: balance for every anchor except
     # the last, plus the normalization sum(pi) = 1.
-    matrix = []
-    rhs = []
-    for target in range(size - 1):
-        row = []
-        for source in range(size):
-            coefficient = transition.get((source, target), zero)
-            if source == target:
-                coefficient = coefficient - one
-            row.append(coefficient)
-        matrix.append(row)
-        rhs.append(zero)
-    matrix.append([one for _ in range(size)])
-    rhs.append(one)
+    rows: List[Dict[int, Scalar]] = [{target: -one} for target in range(size - 1)]
+    for (source, target), probability in transition.items():
+        if target < size - 1:
+            rows[target][source] = rows[target].get(source, zero) + probability
+    rows.append({source: one for source in range(size)})
 
-    solution = solve_linear_system(matrix, rhs, zero=zero, one=one)
+    solution = solve_sparse(rows, [{size - 1: one}], zero=zero)[0]
     stationary = {anchor: solution[position[anchor]] for anchor in anchors}
     for anchor in decision.anchors:
         stationary.setdefault(anchor, zero)

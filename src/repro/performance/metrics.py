@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from ..exceptions import PerformanceError
 from ..reachability.decision import DecisionEdge, DecisionGraph
@@ -108,6 +108,24 @@ class PerformanceMetrics:
             self.rates = self.decomposition.combined_rates()
         self.symbolic = decision.trg.symbolic
         self._class_metrics: Optional[list] = None
+        self._memo: Dict[tuple, object] = {}
+
+    # The readout memo is derived data: it stays out of the pickled state so
+    # a cached artifact's bytes do not depend on which measures were read.
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+
+    def _memoized(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, evaluated once per key and metrics object."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def _per_class(self) -> Optional[list]:
         """Per-class (probability, metrics) pairs for ratio measures.
@@ -151,7 +169,11 @@ class PerformanceMetrics:
 
     def edge_time_shares(self) -> Dict[int, Scalar]:
         """``w_i`` for every decision edge, keyed by edge index."""
-        return {edge.index: self.edge_time_share(edge) for edge in self.decision.edges}
+        shares = self._memoized(
+            ("edge_time_shares",),
+            lambda: {edge.index: self.edge_time_share(edge) for edge in self.decision.edges},
+        )
+        return dict(shares)
 
     # ------------------------------------------------------------------
     # Cycle-level quantities
@@ -163,6 +185,9 @@ class PerformanceMetrics:
         (With the solver's normalization the reference anchor is visited at
         rate 1, so this sum *is* the mean recurrence time of that anchor.)
         """
+        return self._memoized(("cycle_time",), self._cycle_time)
+
+    def _cycle_time(self) -> Scalar:
         shares = self.edge_time_shares()
         total: Scalar = RatFunc.zero() if self.symbolic else Fraction(0)
         for value in shares.values():
@@ -180,6 +205,12 @@ class PerformanceMetrics:
         """
         if count not in ("fired", "completed"):
             raise ValueError("count must be 'fired' or 'completed'")
+        return self._memoized(
+            ("firings_per_cycle", transition_name, count),
+            lambda: self._firings_per_cycle(transition_name, count),
+        )
+
+    def _firings_per_cycle(self, transition_name: str, count: str) -> Scalar:
         total: Scalar = RatFunc.zero() if self.symbolic else Fraction(0)
         for edge in self.decision.edges:
             events = edge.fired if count == "fired" else edge.completed
@@ -197,8 +228,13 @@ class PerformanceMetrics:
         classes this is the expected long-run rate,
         ``sum_k p_k · throughput_k``.
         """
-        per_class = self._per_class()
-        if per_class is not None:
+        return self._memoized(
+            ("throughput", transition_name, count),
+            lambda: self._throughput(transition_name, count),
+        )
+
+    def _throughput(self, transition_name: str, count: str) -> Scalar:
+        if self._per_class() is not None:
             return self._expected(lambda metrics: metrics.throughput(transition_name, count=count))
         return self.firings_per_cycle(transition_name, count=count) / self.cycle_time()
 
@@ -217,8 +253,12 @@ class PerformanceMetrics:
         the paper's single-firing restriction.  With several terminal
         classes this is the expected long-run fraction.
         """
-        per_class = self._per_class()
-        if per_class is not None:
+        return self._memoized(
+            ("utilization", transition_name), lambda: self._utilization(transition_name)
+        )
+
+    def _utilization(self, transition_name: str) -> Scalar:
+        if self._per_class() is not None:
             return self._expected(lambda metrics: metrics.utilization(transition_name))
         total: Scalar = RatFunc.zero() if self.symbolic else Fraction(0)
         for edge in self.decision.edges:

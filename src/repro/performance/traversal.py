@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..exceptions import NotErgodicError, PerformanceError
 from ..reachability.decision import DecisionEdge, DecisionGraph
 from ..symbolic.ratfunc import RatFunc
-from .linear import solve_linear_systems, solve_stationary_weights
+from .linear import solve_sparse, solve_stationary_weights
 
 Scalar = Union[Fraction, RatFunc]
 
@@ -237,23 +237,19 @@ def absorption_probabilities(
         key = (edge.source, edge.target)
         totals[key] = totals.get(key, zero) + _coerce(edge.probability, symbolic)
 
-    size = len(transient)
-    matrix = [[zero for _ in range(size)] for _ in range(size)]
+    # (I - Q) h = R, one sparse row per transient anchor.
+    rows = [{index: one} for index in range(len(transient))]
+    rhs_columns: List[Dict[int, Scalar]] = [{} for _ in classes]
     for (source, target), probability in totals.items():
         row = position[source]
         if target in position:
-            matrix[row][position[target]] = matrix[row][position[target]] - probability
-    for row in range(size):
-        matrix[row][row] = matrix[row][row] + one
-
-    rhs_columns = [[zero for _ in range(size)] for _ in classes]
-    for (source, target), probability in totals.items():
-        class_index = class_of.get(target)
-        if class_index is not None:
-            row = position[source]
-            rhs_columns[class_index][row] = rhs_columns[class_index][row] + probability
+            column = position[target]
+            rows[row][column] = rows[row].get(column, zero) - probability
+        elif target in class_of:
+            column_rhs = rhs_columns[class_of[target]]
+            column_rhs[row] = column_rhs.get(row, zero) + probability
     try:
-        solutions = solve_linear_systems(matrix, rhs_columns, zero=zero, one=one)
+        solutions = solve_sparse(rows, rhs_columns, zero=zero)
     except PerformanceError as error:
         raise NotErgodicError(
             "the absorption equations of the decision graph are singular; no "
@@ -348,7 +344,7 @@ def _solve_class_rates(
         return totals.get((source, target), zero)
 
     weights = solve_stationary_weights(
-        transition_probability,
+        totals,
         len(anchors),
         reference=anchor_position[reference_anchor],
         zero=zero,

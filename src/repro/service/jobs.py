@@ -28,6 +28,10 @@ record:
   dead-worker detection with a bounded restart budget, and graceful
   degradation — past the budget the supervisor itself drains the queue
   sequentially, so one poisoned worker fleet never strands queued jobs.
+* **Bounded retention** — the job table and the canonical-net table are
+  capped (``max_jobs``, ``max_canonical_nets``): the oldest finished jobs
+  and the least recently submitted nets are forgotten, so a long-running
+  server's memory does not grow with the number of jobs it has served.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import tempfile
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from ..analysis import AnalysisSession, ArtifactCache
@@ -104,6 +109,12 @@ DEFAULT_WORKERS = 2
 DEFAULT_CHECKPOINT_EVERY = 1000
 DEFAULT_PROGRESS_EVERY = 250
 MAX_RESTARTS = 3
+#: Job records kept in memory; beyond it the oldest finished jobs that
+#: cannot be resumed are forgotten (a later ``GET`` answers 404).
+DEFAULT_MAX_JOBS = 256
+#: Fingerprints whose elected presentation is remembered for dedup of
+#: reordered resubmissions (least recently submitted forgotten first).
+DEFAULT_MAX_CANONICAL_NETS = 128
 
 
 def stage_cache_params(stage: str, params: Dict[str, object]) -> Dict[str, object]:
@@ -339,6 +350,13 @@ class JobManager:
     max_restarts:
         Dead-worker restart budget before the pool degrades to
         supervisor-drained sequential execution.
+    max_jobs:
+        Job records kept; the oldest finished, non-resumable jobs beyond it
+        are forgotten, so a long-running service holds bounded memory.
+    max_canonical_nets:
+        Nets whose elected presentation is remembered for reorder dedup;
+        a reordered resubmission of a forgotten net elects itself and
+        builds (or hits) under its own cache key.
     clock:
         Monotonic time source handed to every job's ``RunControl``
         (injectable for deterministic deadline tests).
@@ -355,9 +373,13 @@ class JobManager:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         max_restarts: int = MAX_RESTARTS,
         clock: Callable[[], float] = time.monotonic,
+        max_jobs: int = DEFAULT_MAX_JOBS,
+        max_canonical_nets: int = DEFAULT_MAX_CANONICAL_NETS,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
+        if max_jobs < 1 or max_canonical_nets < 1:
+            raise ValueError("max_jobs and max_canonical_nets must be >= 1")
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else ArtifactCache(cache_dir)
         if state_dir is not None:
@@ -373,14 +395,15 @@ class JobManager:
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
         self.clock = clock
+        self.max_jobs = max_jobs
+        self.max_canonical_nets = max_canonical_nets
         self.degraded = False
         self.restarts = 0
 
         self._lock = threading.RLock()
         self._queue: "queue.Queue[str]" = queue.Queue()
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
-        self._canonical: Dict[str, object] = {}  # fingerprint -> elected net
+        self._jobs: Dict[str, Job] = {}  # in submission order
+        self._canonical: "OrderedDict[str, object]" = OrderedDict()  # fingerprint -> elected net
         self._inflight: Dict[str, threading.Event] = {}  # cache key -> done event
         self._stop = threading.Event()
         #: Test/fault-injection seam: called with the job right before its
@@ -413,7 +436,10 @@ class JobManager:
             elected = self._canonical.get(job.fingerprint)
             if elected is None:
                 self._canonical[job.fingerprint] = request.net
+                if len(self._canonical) > self.max_canonical_nets:
+                    self._canonical.popitem(last=False)
             else:
+                self._canonical.move_to_end(job.fingerprint)
                 # Same content, possibly a different declaration order: run
                 # (and hit) under the elected presentation so reordered
                 # resubmissions never rebuild.
@@ -423,9 +449,27 @@ class JobManager:
                 job.net, STAGE_KEYS[job.stage], stage_cache_params(job.stage, job.params)
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._forget_finished()
         self._queue.put(job.id)
         return job
+
+    def _forget_finished(self) -> None:
+        """Drop the oldest finished, non-resumable jobs beyond ``max_jobs``.
+
+        Called under the lock.  Queued, running and resumable jobs are kept
+        whatever their age.
+        """
+        excess = len(self._jobs) - self.max_jobs
+        if excess <= 0:
+            return
+        forgotten = []
+        for job_id, job in self._jobs.items():
+            if len(forgotten) == excess:
+                break
+            if job.status in TERMINAL_STATES and not job.resumable:
+                forgotten.append(job_id)
+        for job_id in forgotten:
+            del self._jobs[job_id]
 
     def submit_batch(self, requests: List[JobRequest]) -> List[Job]:
         return [self.submit(request) for request in requests]
@@ -439,7 +483,7 @@ class JobManager:
 
     def jobs(self) -> List[Job]:
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def describe(self, job: Job) -> Dict[str, object]:
         with self._lock:

@@ -9,7 +9,7 @@ Method    Path                    Meaning
 ========  ======================  ==========================================
 POST      ``/jobs``               Submit one job (net + stage + params)
 POST      ``/jobs/batch``         Submit up to ``MAX_BATCH`` jobs atomically
-GET       ``/jobs``               List all job records
+GET       ``/jobs``               List the retained job records
 GET       ``/jobs/<id>``          One job record (live progress while running)
 POST      ``/jobs/<id>/resume``   Re-queue an interrupted job from checkpoint
 DELETE    ``/jobs/<id>``          Cancel: immediate when queued, cooperative
@@ -27,6 +27,7 @@ maintenance and the token's locked test-and-set exist for.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -47,6 +48,9 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-analysis/1"
     protocol_version = "HTTP/1.1"
+    # Responses are small and request/response-shaped: never hold a segment
+    # back waiting for the client's (delayed) acknowledgement.
+    disable_nagle_algorithm = True
 
     @property
     def manager(self) -> JobManager:
@@ -58,12 +62,19 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         logger.debug("%s - %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: object) -> None:
+        """Send status line, headers and body in one write to the socket."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        wire, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            response = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        self.wfile.write(response)
 
     def _send_error_payload(self, error: ServiceError) -> None:
         self._send_json(error.status, error.payload())

@@ -12,10 +12,12 @@ by the assertions of the engine differential gate (:mod:`engine_diff`).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -34,6 +36,7 @@ from repro.petri.io import jsonio
 from repro.petri.untimed import reachability_graph
 from repro.protocols import simple_protocol_net, sliding_window_net
 from repro.service import JobManager, make_server
+from repro.service.server import AnalysisRequestHandler
 from repro.service.schemas import (
     MAX_BATCH,
     ServiceError,
@@ -265,6 +268,42 @@ class TestCaching:
         stats = client.request("GET", "/cache/stats")[1]
         assert stats["cache"]["disk_stages"].get("untimed-graph") == 1
 
+    def test_finished_jobs_beyond_the_limit_are_forgotten(self, tmp_path):
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1, max_jobs=3)
+        try:
+            request = {"net": net_payload(window_net(2)), "stage": "tables"}
+            ids = []
+            for _ in range(5):
+                job = manager.submit(parse_job(request))
+                ids.append(job.id)
+                deadline = time.monotonic() + 30
+                while manager.get(job.id).status not in TERMINAL:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            assert [job.id for job in manager.jobs()] == ids[-3:]
+            with pytest.raises(ServiceError) as missing:
+                manager.get(ids[0])
+            assert missing.value.status == 404
+        finally:
+            manager.shutdown()
+
+    def test_forgotten_canonical_net_elects_the_resubmission(self, tmp_path):
+        manager = JobManager(
+            cache_dir=str(tmp_path / "cache"), workers=1, max_canonical_nets=1
+        )
+        try:
+            payload = net_payload(window_net(2))
+            reordered = dict(payload, places=list(reversed(payload["places"])))
+            manager.submit(parse_job({"net": payload, "stage": "tables"}))
+            manager.submit(parse_job({"net": net_payload(window_net(3)), "stage": "tables"}))
+            again = manager.submit(parse_job({"net": reordered, "stage": "tables"}))
+            assert again.canonicalized is False
+            assert manager.cache_stats()["canonical_nets"] == 1
+            repeat = manager.submit(parse_job({"net": payload, "stage": "tables"}))
+            assert repeat.canonicalized is True
+        finally:
+            manager.shutdown()
+
     def test_warm_hit_is_bit_identical_to_direct_session(self, service):
         server, client = service
         net = window_net(3)
@@ -464,6 +503,54 @@ class TestErrorsAndHealth:
             time.sleep(0.02)
             body = client.request("GET", "/cache/stats")[1]
         assert body["inflight_builds"] == 0
+
+
+class _RecordingSocket:
+    """A socket stand-in: serves canned request bytes, records every send."""
+
+    def __init__(self, requests: bytes):
+        self.requests = requests
+        self.sends = []
+        self.options = []
+
+    def makefile(self, mode, *args, **kwargs):
+        assert "r" in mode
+        return io.BytesIO(self.requests)
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+
+class TestResponseFraming:
+    """Each JSON response leaves the server in a single socket write.
+
+    Headers and body written separately let Nagle's algorithm hold the body
+    back until the client's delayed acknowledgement of the headers.
+    """
+
+    def test_one_socket_write_per_json_response(self, service):
+        server, _ = service
+        body = json.dumps({"net": net_payload(window_net(2)), "stage": "tables"}).encode()
+        requests = (
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            + b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            + b"GET /jobs/missing HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        connection = _RecordingSocket(requests)
+        AnalysisRequestHandler(connection, ("127.0.0.1", 0), server)
+
+        assert len(connection.sends) == 3
+        for send, status in zip(connection.sends, (200, 202, 404)):
+            head, _, payload = send.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            length = re.search(rb"Content-Length: (\d+)", head)
+            assert int(length.group(1)) == len(payload)
+            json.loads(payload)
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in connection.options
 
 
 # ---------------------------------------------------------------------------
