@@ -25,8 +25,12 @@ pivots on a row with ``r`` entries in a column with ``c`` entries does about
 the fill stays within a small multiple of the input (a few hundred anchors
 solve in milliseconds, the 5,189 anchors of the lossy window-4 sliding
 window in seconds); :func:`last_solve_stats` reports the fill of the most
-recent solve.  Exact rationals and reduced rational functions are
-canonical, so every pivot order yields bit-identical solutions.
+recent solve.  Exact rationals are canonical, so over ``Fraction`` every
+pivot order yields bit-identical solutions.  Over ``RatFunc`` the solutions
+are equal as rational functions, but their stored numerator and
+denominator may depend on the pivot order, because RatFunc normalization
+is not guaranteed to reach a canonical form (its common-factor
+cancellation gives up on large operands).
 
 Values only need ``+``, ``-``, ``*``, ``/`` and a truthiness test for "is
 zero" (``Fraction`` and :class:`~repro.symbolic.ratfunc.RatFunc` both

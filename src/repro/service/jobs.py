@@ -29,9 +29,10 @@ record:
   degradation — past the budget the supervisor itself drains the queue
   sequentially, so one poisoned worker fleet never strands queued jobs.
 * **Bounded retention** — the job table and the canonical-net table are
-  capped (``max_jobs``, ``max_canonical_nets``): the oldest finished jobs
-  and the least recently submitted nets are forgotten, so a long-running
-  server's memory does not grow with the number of jobs it has served.
+  capped (``DEFAULT_MAX_JOBS``, ``DEFAULT_MAX_CANONICAL_NETS``): the oldest
+  finished jobs and the least recently submitted nets are forgotten, so a
+  long-running server's memory does not grow with the number of jobs it
+  has served.
 """
 
 from __future__ import annotations
@@ -350,13 +351,6 @@ class JobManager:
     max_restarts:
         Dead-worker restart budget before the pool degrades to
         supervisor-drained sequential execution.
-    max_jobs:
-        Job records kept; the oldest finished, non-resumable jobs beyond it
-        are forgotten, so a long-running service holds bounded memory.
-    max_canonical_nets:
-        Nets whose elected presentation is remembered for reorder dedup;
-        a reordered resubmission of a forgotten net elects itself and
-        builds (or hits) under its own cache key.
     clock:
         Monotonic time source handed to every job's ``RunControl``
         (injectable for deterministic deadline tests).
@@ -373,13 +367,9 @@ class JobManager:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         max_restarts: int = MAX_RESTARTS,
         clock: Callable[[], float] = time.monotonic,
-        max_jobs: int = DEFAULT_MAX_JOBS,
-        max_canonical_nets: int = DEFAULT_MAX_CANONICAL_NETS,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if max_jobs < 1 or max_canonical_nets < 1:
-            raise ValueError("max_jobs and max_canonical_nets must be >= 1")
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else ArtifactCache(cache_dir)
         if state_dir is not None:
@@ -395,8 +385,6 @@ class JobManager:
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
         self.clock = clock
-        self.max_jobs = max_jobs
-        self.max_canonical_nets = max_canonical_nets
         self.degraded = False
         self.restarts = 0
 
@@ -436,7 +424,7 @@ class JobManager:
             elected = self._canonical.get(job.fingerprint)
             if elected is None:
                 self._canonical[job.fingerprint] = request.net
-                if len(self._canonical) > self.max_canonical_nets:
+                if len(self._canonical) > DEFAULT_MAX_CANONICAL_NETS:
                     self._canonical.popitem(last=False)
             else:
                 self._canonical.move_to_end(job.fingerprint)
@@ -454,12 +442,12 @@ class JobManager:
         return job
 
     def _forget_finished(self) -> None:
-        """Drop the oldest finished, non-resumable jobs beyond ``max_jobs``.
+        """Drop the oldest finished, non-resumable jobs beyond ``DEFAULT_MAX_JOBS``.
 
         Called under the lock.  Queued, running and resumable jobs are kept
         whatever their age.
         """
-        excess = len(self._jobs) - self.max_jobs
+        excess = len(self._jobs) - DEFAULT_MAX_JOBS
         if excess <= 0:
             return
         forgotten = []

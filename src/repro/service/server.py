@@ -48,9 +48,6 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-analysis/1"
     protocol_version = "HTTP/1.1"
-    # Responses are small and request/response-shaped: never hold a segment
-    # back waiting for the client's (delayed) acknowledgement.
-    disable_nagle_algorithm = True
 
     @property
     def manager(self) -> JobManager:

@@ -17,7 +17,6 @@ import json
 import os
 import re
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -36,6 +35,7 @@ from repro.petri.io import jsonio
 from repro.petri.untimed import reachability_graph
 from repro.protocols import simple_protocol_net, sliding_window_net
 from repro.service import JobManager, make_server
+from repro.service import jobs as jobs_module
 from repro.service.server import AnalysisRequestHandler
 from repro.service.schemas import (
     MAX_BATCH,
@@ -268,8 +268,9 @@ class TestCaching:
         stats = client.request("GET", "/cache/stats")[1]
         assert stats["cache"]["disk_stages"].get("untimed-graph") == 1
 
-    def test_finished_jobs_beyond_the_limit_are_forgotten(self, tmp_path):
-        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1, max_jobs=3)
+    def test_finished_jobs_beyond_the_limit_are_forgotten(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "DEFAULT_MAX_JOBS", 3)
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1)
         try:
             request = {"net": net_payload(window_net(2)), "stage": "tables"}
             ids = []
@@ -287,10 +288,9 @@ class TestCaching:
         finally:
             manager.shutdown()
 
-    def test_forgotten_canonical_net_elects_the_resubmission(self, tmp_path):
-        manager = JobManager(
-            cache_dir=str(tmp_path / "cache"), workers=1, max_canonical_nets=1
-        )
+    def test_forgotten_canonical_net_elects_the_resubmission(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "DEFAULT_MAX_CANONICAL_NETS", 1)
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1)
         try:
             payload = net_payload(window_net(2))
             reordered = dict(payload, places=list(reversed(payload["places"])))
@@ -511,7 +511,6 @@ class _RecordingSocket:
     def __init__(self, requests: bytes):
         self.requests = requests
         self.sends = []
-        self.options = []
 
     def makefile(self, mode, *args, **kwargs):
         assert "r" in mode
@@ -519,9 +518,6 @@ class _RecordingSocket:
 
     def sendall(self, data):
         self.sends.append(bytes(data))
-
-    def setsockopt(self, *option):
-        self.options.append(option)
 
 
 class TestResponseFraming:
@@ -550,7 +546,6 @@ class TestResponseFraming:
             length = re.search(rb"Content-Length: (\d+)", head)
             assert int(length.group(1)) == len(payload)
             json.loads(payload)
-        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in connection.options
 
 
 # ---------------------------------------------------------------------------
