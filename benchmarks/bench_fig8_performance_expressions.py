@@ -146,7 +146,7 @@ def test_fig8_sparse_solve_rows():
         before, after = class_solve_fill(decision)
         rows.append((label, anchors, metrics.decomposition.class_count, before, after,
                      f"{seconds:.3f}", f"{float(cycle_time):.6f}"))
-        record_bench(label, "sparse-traversal-solve", None, anchors, seconds,
+        record_bench(label, "sparse-traversal-solve", anchors, seconds,
                      anchors=anchors, input_nonzeros=before, factor_nonzeros=after)
         if seconds > budget:
             problems.append(f"{label}: solve took {seconds:.2f} s (budget {budget} s)")

@@ -9,8 +9,7 @@ readable reference procedure).  The untimed builders are compared the same
 way: :func:`repro.petri.untimed.reachability_graph` and the Karp–Miller
 coverability construction both have compiled backends on the shared
 :mod:`repro.engine` tables, and the untimed builder additionally has the
-numpy level-batched kernel (``engine="batched"``) and the frontier-sharded
-multiprocess engine (``engine="parallel"``), each measured against the
+numpy level-batched kernel (``engine="batched"``), measured against the
 scalar compiled baseline below.  The point (made qualitatively in the paper's
 Section 3) is that the method is exact but its graph can grow quickly once
 several timers run concurrently — which is exactly why the construction hot
@@ -26,7 +25,6 @@ bookkeeping.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from repro.petri import coverability_graph, reachability_graph
@@ -96,37 +94,17 @@ BATCHED_ENGINE_MODELS = [
 #: wide-frontier workload (all but the token ring).
 BATCHED_FLOOR_MODELS = frozenset(label for label, _constructor in BATCHED_ENGINE_MODELS[:3])
 
-#: Workloads for the sequential-vs-parallel scaling comparison of the
-#: frontier-sharded engine.  The window-4 rows are the acceptance headline;
-#: the window-6 row (15k states / 112k edges) is where per-level sharding
-#: genuinely amortizes the queue round trips on multi-core machines.
-PARALLEL_ENGINE_MODELS = [
-    ("sliding window, 4 frames, lossy", lambda: sliding_window_net(4, loss_probability=Fraction(1, 10))),
-    ("go-back-N, 4 frames, lossy", lambda: go_back_n_net(4, loss_probability=Fraction(1, 10))),
-    ("sliding window, 6 frames, lossy", lambda: sliding_window_net(6, loss_probability=Fraction(1, 10))),
-]
-
-#: Worker count for the parallel rows: the issue's acceptance shape is
-#: "parallel beats single-process compiled with >= 2 workers".
-PARALLEL_WORKERS = max(2, min(4, os.cpu_count() or 1))
-
-#: The standing scale benchmark of the *timed* parallel engine: the lossy
-#: window-4 sender with compressed delays (packet/ack 2, timeout 6) closes at
-#: ~35k timed states — big enough that per-level sharding amortizes the queue
-#: round trips, small enough for CI.  The acceptance shape is ">= 2x
-#: states/s at 4 workers versus the sequential compiled engine".
-TIMED_PARALLEL_ENGINE_MODELS = [
-    (
-        "sliding window, 4 frames, lossy (timed)",
-        lambda: sliding_window_net(
-            4,
-            loss_probability=Fraction(1, 10),
-            packet_delay=2,
-            ack_delay=2,
-            timeout=6,
-        ),
-    ),
-]
+#: The standing window-4 model of the warm-cache row: the lossy sender with
+#: compressed delays (packet/ack 2, timeout 6) closes at ~35k timed states —
+#: big enough that a cold analysis is expensive, small enough for CI.
+def warm_cache_model():
+    return sliding_window_net(
+        4,
+        loss_probability=Fraction(1, 10),
+        packet_delay=2,
+        ack_delay=2,
+        timeout=6,
+    )
 
 
 def build_all():
@@ -182,8 +160,8 @@ def test_engine_states_per_second():
         reference_time, states = best_build_time(net, "reference")
         compiled_time, compiled_states = best_build_time(net, "compiled")
         assert states == compiled_states, label
-        record_bench(label, "timed/reference", None, states, reference_time)
-        record_bench(label, "timed/compiled", None, states, compiled_time)
+        record_bench(label, "timed/reference", states, reference_time)
+        record_bench(label, "timed/compiled", states, compiled_time)
         speedups[label] = reference_time / compiled_time
         rows.append(
             (
@@ -232,8 +210,8 @@ def test_untimed_engine_states_per_second():
             lambda: reachability_graph(net, engine="compiled")
         )
         assert compiled.state_count == reference.state_count, label
-        record_bench(label, "untimed/reference", None, compiled.state_count, reference_time)
-        record_bench(label, "untimed/compiled", None, compiled.state_count, compiled_time)
+        record_bench(label, "untimed/reference", compiled.state_count, reference_time)
+        record_bench(label, "untimed/compiled", compiled.state_count, compiled_time)
         speedups[label] = reference_time / compiled_time
         rows.append(
             (
@@ -288,8 +266,8 @@ def test_batched_engine_states_per_second():
         )
         assert batched.state_count == compiled.state_count, label
         assert batched.edge_count == compiled.edge_count, label
-        record_bench(label, "untimed/compiled", None, compiled.state_count, compiled_time)
-        record_bench(label, "untimed/batched", None, batched.state_count, batched_time)
+        record_bench(label, "untimed/compiled", compiled.state_count, compiled_time)
+        record_bench(label, "untimed/batched", batched.state_count, batched_time)
         speedups[label] = compiled_time / batched_time
         stats = batched.build_stats()
         rows.append(
@@ -338,137 +316,6 @@ def test_batched_engine_states_per_second():
             problems.append(
                 f"{label}: batched kernel slower than scalar compiled ({speedups[label]:.2f}x)"
             )
-    soft_or_fail(problems)
-
-
-def test_parallel_engine_states_per_second():
-    """Frontier-sharded multiprocess vs single-process compiled untimed BFS."""
-    rows = []
-    speedups = {}
-    for label, constructor in PARALLEL_ENGINE_MODELS:
-        net = constructor()
-        compiled_time, compiled = best_timed(
-            lambda: reachability_graph(net, engine="compiled"), repetitions=3
-        )
-        parallel_time, parallel = best_timed(
-            lambda: reachability_graph(net, engine="parallel", workers=PARALLEL_WORKERS),
-            repetitions=3,
-        )
-        assert parallel.state_count == compiled.state_count, label
-        assert parallel.edge_count == compiled.edge_count, label
-        record_bench(label, "untimed/compiled", None, compiled.state_count, compiled_time)
-        record_bench(
-            label, "untimed/parallel", PARALLEL_WORKERS, parallel.state_count, parallel_time
-        )
-        speedups[label] = compiled_time / parallel_time
-        rows.append(
-            (
-                label,
-                parallel.state_count,
-                f"{parallel.state_count / compiled_time:,.0f}",
-                f"{parallel.state_count / parallel_time:,.0f}",
-                f"{speedups[label]:.2f}x",
-            )
-        )
-
-    print()
-    print(
-        format_table(
-            (
-                f"model (untimed, {PARALLEL_WORKERS} workers)",
-                "states",
-                "compiled states/s",
-                "parallel states/s",
-                "speedup",
-            ),
-            rows,
-            align_right=False,
-        )
-    )
-
-    # Acceptance headline: the sharded engine must beat the single-process
-    # compiled engine on the lossy window-4 workload with >= 2 workers.
-    # Sharding only pays off with real cores and enough states per level to
-    # amortize the queue round trips, so on single-core or heavily shared
-    # runners this is expected to miss — run with REPRO_BENCH_SOFT there.
-    headline = PARALLEL_ENGINE_MODELS[0][0]
-    problems = []
-    if speedups[headline] < 1.0:
-        problems.append(
-            f"parallel engine slower than compiled on {headline}: {speedups[headline]:.2f}x "
-            f"({PARALLEL_WORKERS} workers, {os.cpu_count()} CPUs)"
-        )
-    soft_or_fail(problems)
-
-
-def test_timed_parallel_engine_states_per_second():
-    """Frontier-sharded multiprocess vs single-process compiled *timed* BFS.
-
-    The standing scale benchmark of the timed parallel engine: the lossy
-    window-4 sender, sequential compiled versus ``engine="parallel"``.  The
-    timed hot loop does far more work per state than the untimed one (clock
-    arithmetic, advance-step memoization, edge payload construction), so
-    sharding amortizes its queue round trips earlier.
-    """
-    rows = []
-    speedups = {}
-    for label, constructor in TIMED_PARALLEL_ENGINE_MODELS:
-        net = constructor()
-        compiled_time, compiled = best_timed(
-            lambda: timed_reachability_graph(net, max_states=200_000, engine="compiled"),
-            repetitions=2,
-        )
-        parallel_time, parallel = best_timed(
-            lambda: timed_reachability_graph(
-                net, max_states=200_000, engine="parallel", workers=PARALLEL_WORKERS
-            ),
-            repetitions=2,
-        )
-        assert parallel.state_count == compiled.state_count, label
-        assert parallel.edge_count == compiled.edge_count, label
-        record_bench(label, "timed/compiled", None, compiled.state_count, compiled_time)
-        record_bench(
-            label, "timed/parallel", PARALLEL_WORKERS, parallel.state_count, parallel_time
-        )
-        speedups[label] = compiled_time / parallel_time
-        rows.append(
-            (
-                label,
-                parallel.state_count,
-                f"{parallel.state_count / compiled_time:,.0f}",
-                f"{parallel.state_count / parallel_time:,.0f}",
-                f"{speedups[label]:.2f}x",
-            )
-        )
-
-    print()
-    print(
-        format_table(
-            (
-                f"model (timed, {PARALLEL_WORKERS} workers)",
-                "states",
-                "compiled states/s",
-                "parallel states/s",
-                "speedup",
-            ),
-            rows,
-            align_right=False,
-        )
-    )
-
-    # Acceptance headline: >= 2x states/s at 4 workers versus the sequential
-    # compiled engine on the timed lossy window-4 model (>= 1x below 4
-    # workers — smaller machines cannot hit the 4-way target).  Sharding
-    # needs real cores; on single-core or heavily shared runners this is
-    # expected to miss — run with REPRO_BENCH_SOFT there.
-    headline = TIMED_PARALLEL_ENGINE_MODELS[0][0]
-    target = 2.0 if PARALLEL_WORKERS >= 4 else 1.0
-    problems = []
-    if speedups[headline] < target:
-        problems.append(
-            f"timed parallel engine below {target:.0f}x on {headline}: "
-            f"{speedups[headline]:.2f}x ({PARALLEL_WORKERS} workers, {os.cpu_count()} CPUs)"
-        )
     soft_or_fail(problems)
 
 
@@ -582,8 +429,8 @@ def test_spill_store_states_per_second():
     stats = spilled.build_stats()
     assert stats.spilled_states == spilled.state_count
     assert stats.spill_bytes > 0
-    record_bench(label, "untimed/batched", None, in_memory.state_count, memory_time)
-    record_bench(label, "untimed/batched+spill", None, spilled.state_count, spill_time)
+    record_bench(label, "untimed/batched", in_memory.state_count, memory_time)
+    record_bench(label, "untimed/batched+spill", spilled.state_count, spill_time)
     overhead = spill_time / memory_time
 
     print()
@@ -646,8 +493,8 @@ def test_gspn_lazy_columnar_adoption():
     )
     states = len(lazy_result[0])
     assert states == len(forced_result[0])
-    record_bench(label, "gspn/batched-lazy", None, states, lazy_time)
-    record_bench(label, "gspn/batched-forced", None, states, forced_time)
+    record_bench(label, "gspn/batched-lazy", states, lazy_time)
+    record_bench(label, "gspn/batched-forced", states, forced_time)
     win = forced_time / lazy_time
 
     print()
@@ -723,7 +570,7 @@ def test_warm_cache_reanalysis(tmp_path):
     from repro.analysis import AnalysisSession
 
     label = "sliding window, 4 frames, lossy (timed, compressed delays)"
-    net = TIMED_PARALLEL_ENGINE_MODELS[0][1]()
+    net = warm_cache_model()
     cache_dir = str(tmp_path / "artifacts")
 
     gc.collect()
@@ -755,11 +602,10 @@ def test_warm_cache_reanalysis(tmp_path):
     speedup = cold_time / warm_time
 
     states = cold_graph.state_count
-    record_bench(label, "analysis/cold+store", None, states, cold_time)
+    record_bench(label, "analysis/cold+store", states, cold_time)
     record_bench(
         label,
         "analysis/warm-cache",
-        None,
         states,
         warm_time,
         speedup=speedup,

@@ -80,11 +80,10 @@ def best_timed(build, repetitions: int = 5):
 _BENCH_RECORDS: list = []
 
 
-def record_bench(workload: str, engine: str, workers, states: int, seconds: float, **extra) -> None:
+def record_bench(workload: str, engine: str, states: int, seconds: float, **extra) -> None:
     """Collect one engine-throughput measurement for the JSON report.
 
-    ``workers`` is ``None`` for single-process engines; ``seconds`` is the
-    best-of-N wall-clock the printed tables report, so the JSON numbers match
+    ``seconds`` is the best-of-N wall-clock the printed tables report, so the JSON numbers match
     the human-readable output exactly.  ``extra`` keyword fields (e.g. the
     warm-cache rows' ``speedup`` and ``cache_hit_rate``) are merged into the
     record verbatim.
@@ -92,7 +91,6 @@ def record_bench(workload: str, engine: str, workers, states: int, seconds: floa
     record = {
         "workload": workload,
         "engine": engine,
-        "workers": workers,
         "states": states,
         "seconds": seconds,
         "states_per_second": (states / seconds) if seconds else None,
@@ -107,7 +105,7 @@ def pytest_sessionfinish(session, exitstatus):
     if not path or not _BENCH_RECORDS:
         return
     payload = {
-        "schema": "repro-bench/1",
+        "schema": "repro-bench/2",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),

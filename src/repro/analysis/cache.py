@@ -244,7 +244,9 @@ class ArtifactCache:
         # The build itself runs outside the lock: one slow build must not
         # serialize every other thread's cache traffic.
         artifact = build()
-        self._disk_put(key, stage, encode(artifact))
+        if self.directory is not None:
+            # A memory-only cache would drop the bytes: skip the encode.
+            self._disk_put(key, stage, encode(artifact))
         with self._lock:
             self._counters["stores"] += 1
         self._memory_put(key, artifact)

@@ -6,13 +6,10 @@ Subcommands mirror the analysis pipeline of the paper:
 * ``analyze`` — end-to-end performance analysis (throughput, cycle time,
   utilizations) of a bundled model or a JSON net file,
 * ``reachability`` — build and print the timed reachability graph
-  (optionally the full Figure-4b style state table); ``--engine parallel
-  --workers N`` runs the frontier-sharded multiprocess timed construction,
+  (optionally the full Figure-4b style state table),
 * ``untimed`` — build the untimed reachability graph and report boundedness
-  and deadlock facts; ``--engine parallel --workers N`` runs the
-  frontier-sharded multiprocess construction, ``--engine batched`` the numpy
-  level-batched kernel, and ``--stats`` prints the frontier-core build
-  statistics,
+  and deadlock facts; ``--engine batched`` runs the numpy level-batched
+  kernel, and ``--stats`` prints the frontier-core build statistics,
 * ``decision`` — print the decision-graph edges (Figure-5 style), including
   the folded committed-cycle rows of the generalized collapse (``--no-fold``
   recovers the strict paper-shaped collapse and its rejection diagnosis),
@@ -57,7 +54,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import ENGINE_PARALLEL, ENGINES, TIMED_ENGINES
+from .engine import ENGINES, SEQUENTIAL_ENGINES
 from .exceptions import BuildInterruptedError, PerformanceError, UnboundedNetError
 from .performance import PerformanceAnalysis
 from .petri import reachability_graph as untimed_reachability_graph
@@ -107,9 +104,9 @@ def _add_engine_arguments(
     engine_help: str,
     max_states_help: str,
 ) -> None:
-    """The shared ``--engine`` / ``--workers`` / ``--max-states`` options.
+    """The shared ``--engine`` / ``--max-states`` options.
 
-    Every graph-building subcommand takes the same backend-selection trio;
+    Every graph-building subcommand takes the same backend-selection pair;
     ``engines`` restricts the accepted values to what the builder supports
     (e.g. the timed builders reject the batched kernel).
     """
@@ -120,24 +117,11 @@ def _add_engine_arguments(
         help=engine_help,
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --engine parallel (default: one per CPU)",
-    )
-    parser.add_argument(
         "--max-states",
         type=int,
         default=100_000,
         help=max_states_help,
     )
-
-
-def _validate_engine_arguments(arguments) -> None:
-    """Reject ``--workers`` without ``--engine parallel`` — shared by every
-    graph-building subcommand so the message stays identical everywhere."""
-    if arguments.workers is not None and arguments.engine != ENGINE_PARALLEL:
-        raise SystemExit("--workers requires --engine parallel")
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -315,7 +299,6 @@ def _command_analyze(arguments) -> int:
 
 def _command_reachability(arguments) -> int:
     net = _load_model(arguments)
-    _validate_engine_arguments(arguments)
     session = _open_session(arguments)
     try:
         if session is not None:
@@ -323,18 +306,16 @@ def _command_reachability(arguments) -> int:
                 net,
                 max_states=arguments.max_states,
                 engine=arguments.engine,
-                workers=arguments.workers,
             )
         else:
             graph = timed_reachability_graph(
                 net,
                 max_states=arguments.max_states,
                 engine=arguments.engine,
-                workers=arguments.workers,
             )
     except ValueError as error:
-        # e.g. a non-positive --workers count; argparse already guaranteed
-        # the engine name, so surface the builder's message cleanly.
+        # e.g. a symbolic net; argparse already guaranteed the engine name,
+        # so surface the builder's message cleanly.
         raise SystemExit(str(error))
     except UnboundedNetError as error:
         print(f"cannot enumerate: {error}")
@@ -345,8 +326,6 @@ def _command_reachability(arguments) -> int:
     print(graph)
     if session is not None:
         _print_cache_summary(session)
-    if arguments.engine == ENGINE_PARALLEL:
-        print(f"engine: parallel ({arguments.workers or 'auto'} workers)")
     if arguments.table:
         print(format_table(graph.state_table_header(), graph.state_table(), align_right=False))
     if arguments.dot:
@@ -359,7 +338,6 @@ def _command_untimed(arguments) -> int:
     from .engine import cancel_on_sigint
 
     net = _load_model(arguments)
-    _validate_engine_arguments(arguments)
     control = _resolve_control(arguments)
     store, owned = _resolve_store_arguments(arguments)
     session = _open_session(arguments)
@@ -374,7 +352,6 @@ def _command_untimed(arguments) -> int:
                 net,
                 max_states=arguments.max_states,
                 engine=arguments.engine,
-                workers=arguments.workers,
                 store=store,
             )
         elif control is not None:
@@ -385,7 +362,6 @@ def _command_untimed(arguments) -> int:
                     net,
                     max_states=arguments.max_states,
                     engine=arguments.engine,
-                    workers=arguments.workers,
                     store=store,
                     control=control,
                 )
@@ -394,13 +370,12 @@ def _command_untimed(arguments) -> int:
                 net,
                 max_states=arguments.max_states,
                 engine=arguments.engine,
-                workers=arguments.workers,
                 store=store,
             )
     except ValueError as error:
-        # e.g. a non-positive --workers count or a store on a non-frontier
-        # engine; argparse already guaranteed the engine name, so surface
-        # the builder's message cleanly.
+        # e.g. a store on a non-frontier engine; argparse already
+        # guaranteed the engine name, so surface the builder's message
+        # cleanly.
         raise SystemExit(str(error))
     except UnboundedNetError as error:
         print(f"cannot enumerate: {error}")
@@ -416,8 +391,7 @@ def _command_untimed(arguments) -> int:
     if session is not None:
         _print_cache_summary(session)
     rows = [
-        ("engine", arguments.engine
-         + (f" ({arguments.workers or 'auto'} workers)" if arguments.engine == ENGINE_PARALLEL else "")),
+        ("engine", arguments.engine),
         ("markings", graph.state_count),
         ("edges", graph.edge_count),
         ("bound (max tokens/place)", graph.bound()),
@@ -783,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(reachability)
     _add_engine_arguments(
         reachability,
-        engines=TIMED_ENGINES,
-        engine_help="construction backend; 'parallel' shards the timed BFS across processes",
+        engines=SEQUENTIAL_ENGINES,
+        engine_help="construction backend",
         max_states_help="abort if the construction exceeds this many timed states",
     )
     _add_cache_arguments(reachability)
@@ -799,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(
         untimed,
         engines=ENGINES,
-        engine_help="construction backend; 'batched' expands whole frontiers with "
-        "numpy, 'parallel' shards the BFS across processes",
+        engine_help="construction backend; 'batched' expands whole frontiers with numpy",
         max_states_help="abort if the enumeration exceeds this many markings",
     )
     _add_store_arguments(untimed)

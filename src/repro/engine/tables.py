@@ -176,22 +176,23 @@ class NetTables:
         return tables
 
     # ------------------------------------------------------------------
-    # Pickling (multiprocess engine support)
+    # Pickling (spill store and codec)
     # ------------------------------------------------------------------
 
-    #: Per-process memo attributes replaced by empty dicts when pickling.
-    #: Subclasses that add memo tables (e.g. the timed engine's
+    #: Memo attributes replaced by empty dicts when pickling.  Subclasses
+    #: that add memo tables (e.g. the timed engine's
     #: :class:`~repro.reachability.compiled.CompiledNet`) extend this tuple
-    #: so their working sets are likewise not shipped to worker processes.
+    #: so their working sets are likewise left out of the pickle.
     _TRANSIENT_CACHES: Tuple[str, ...] = ("_enabled_cache", "_matrix_cache")
 
     def __getstate__(self) -> dict:
         """Pickle the structural tables without the memoized working sets.
 
-        The parallel engine ships one :class:`NetTables` to every worker
-        process (explicitly under ``spawn``, copy-on-write under ``fork``);
-        the memo tables are per-process working sets that would only bloat
-        the payload, so each process restarts with empty caches.
+        Tables are pickled by :func:`repro.engine.store._encode`, which is
+        also the default encoder of the artifact cache's disk tier (the
+        service's ``tables`` stage stores them that way).  The memo tables
+        are working sets the reader rebuilds; leaving them out keeps the
+        stored bytes small and independent of how much was explored.
         """
         state = dict(self.__dict__)
         for name in self._TRANSIENT_CACHES:
@@ -232,8 +233,8 @@ class NetTables:
         Row ``t`` is the *guard row* of transition ``t``: a marking vector
         enables ``t`` iff it dominates the row component-wise, which is how
         the batched kernel tests a whole frontier against every transition
-        in one broadcast.  Built lazily and excluded from pickles (worker
-        processes re-derive it from the sparse arcs).
+        in one broadcast.  Built lazily and excluded from pickles (a reader
+        re-derives it from the sparse arcs).
         """
         matrix = self._matrix_cache.get("input")
         if matrix is None:

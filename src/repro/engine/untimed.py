@@ -9,8 +9,8 @@ failure semantics — but run over integer token vectors from
 
 * reachability rides the stock :class:`~repro.engine.frontier.UntimedKernel`
   (incremental enabled-set maintenance, one :class:`Marking` per unique
-  node) — the same kernel the parallel workers and, in level-batched form,
-  :mod:`repro.engine.batched` execute;
+  node) — the same kernel :mod:`repro.engine.batched` executes in
+  level-batched form;
 * the Karp–Miller construction supplies its own kernel: work vectors stay
   integer-valued (``ω`` is the shared infinity marker, which compares
   correctly against any int) and the acceleration rule re-evaluates against

@@ -78,10 +78,10 @@ class Marking(Mapping):
 
     def __reduce__(self):
         # Rebuild through the trusted constructor so the cached hash is
-        # recomputed in the receiving process: it hashes place-name strings,
-        # whose hashes are salted per process by PYTHONHASHSEED, so a shipped
-        # cache value would be wrong under the multiprocessing ``spawn``
-        # start method.
+        # recomputed by the reader: it hashes place-name strings, whose
+        # hashes are salted per process by PYTHONHASHSEED, so a cached value
+        # stored by the artifact codec, a checkpoint or the spill store would
+        # be wrong when read back in another process.
         return (Marking._trusted, (self._order, self._known, self._tokens))
 
     # ------------------------------------------------------------------

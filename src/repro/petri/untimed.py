@@ -18,9 +18,7 @@ runs the integer-indexed backend of :mod:`repro.engine.untimed` over the
 shared frontier loop, ``"reference"`` the readable marking-based
 constructions in this module, and :func:`reachability_graph` additionally
 accepts ``"batched"`` — the numpy level-batched kernel of
-:mod:`repro.engine.batched` — and ``"parallel"`` — the frontier-sharded
-multiprocess BFS of :mod:`repro.engine.parallel` with a ``workers=`` knob.
-All engines are required to produce bit-identical graphs — same node
+:mod:`repro.engine.batched`.  All engines are required to produce bit-identical graphs — same node
 numbering, same edge list — which ``tests/engine_diff.py`` enforces
 differentially on every bundled workload.
 """
@@ -87,8 +85,7 @@ class UntimedReachabilityGraph:
     """
 
     #: Construction telemetry, set by engines that run the shared frontier
-    #: loop (compiled/batched); ``None`` for the reference and parallel
-    #: backends.
+    #: loop (compiled/batched); ``None`` for the reference backend.
     _build_stats = None
 
     def __init__(self, net: TimedPetriNet):
@@ -242,7 +239,6 @@ def reachability_graph(
     *,
     max_states: int = 100_000,
     engine: str = "compiled",
-    workers: Optional[int] = None,
     store=None,
     spill_threshold: Optional[int] = None,
     control=None,
@@ -260,11 +256,7 @@ def reachability_graph(
     the readable marking-based enumeration below, ``"batched"`` the numpy
     level-batched kernel of
     :func:`repro.engine.batched.batched_reachability_graph` (whole frontiers
-    expand as one enabledness mask), and ``"parallel"`` the frontier-sharded
-    multiprocess BFS of
-    :func:`repro.engine.parallel.parallel_reachability_graph` across
-    ``workers`` processes (default: one per CPU).  All four produce
-    identical graphs.
+    expand as one enabledness mask).  All three produce identical graphs.
 
     ``store`` (``None``, ``"disk"``, or a
     :class:`~repro.engine.store.DiskStateStore`) spills the construction's
@@ -283,9 +275,8 @@ def reachability_graph(
     bit-identically.
     """
     # Imported lazily: repro.engine imports this module's graph classes.
-    from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, ENGINE_PARALLEL, check_engine
+    from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, check_engine
     from ..engine.batched import batched_reachability_graph
-    from ..engine.parallel import parallel_reachability_graph
     from ..engine.runtime import checkpoint_store
     from ..engine.store import resolve_store
     from ..engine.untimed import compiled_reachability_graph
@@ -301,10 +292,6 @@ def reachability_graph(
             "control= is only supported by the frontier-core engines "
             "('compiled' and 'batched')"
         )
-    if engine == ENGINE_PARALLEL:
-        return parallel_reachability_graph(net, max_states=max_states, workers=workers)
-    if workers is not None:
-        raise ValueError("workers= is only meaningful with engine='parallel'")
     if engine in (ENGINE_COMPILED, ENGINE_BATCHED):
         if engine == ENGINE_COMPILED:
             # Checkpoints of the scalar engine are store spools, so a
@@ -461,11 +448,10 @@ def coverability_graph(
 
     ``engine`` selects the construction backend exactly as in
     :func:`reachability_graph`, except that the Karp–Miller construction
-    has neither a sharded nor a batched backend: the acceleration rule
-    inspects the BFS-tree ancestor chain of each work vector, per-path
-    history that a frontier-sharded or level-batched expansion does not
-    preserve.  ``engine="parallel"`` and ``engine="batched"`` are therefore
-    rejected; the compiled backend applies the ω-acceleration directly on
+    has no batched backend: the acceleration rule inspects the BFS-tree
+    ancestor chain of each work vector, per-path history that a
+    level-batched expansion does not preserve.  ``engine="batched"`` is
+    therefore rejected; the compiled backend applies the ω-acceleration directly on
     integer vectors through the shared frontier loop, vectorizing the
     per-ancestor re-evaluation into whole-chain numpy comparisons.
 
@@ -478,15 +464,15 @@ def coverability_graph(
     carries the BFS-tree parent chain the acceleration rule needs).
     """
     from ..engine import (
+        COVERABILITY_BATCHED_REASON,
         ENGINE_COMPILED,
-        PARALLEL_UNSUPPORTED_REASON,
         SEQUENTIAL_ENGINES,
         check_engine,
     )
     from ..engine.runtime import checkpoint_store
     from ..engine.untimed import compiled_coverability_graph
 
-    check_engine(engine, supported=SEQUENTIAL_ENGINES, reason=PARALLEL_UNSUPPORTED_REASON)
+    check_engine(engine, supported=SEQUENTIAL_ENGINES, reason=COVERABILITY_BATCHED_REASON)
     if store is not None and engine != ENGINE_COMPILED:
         raise ValueError(
             "store= is only supported by the frontier-core engines "

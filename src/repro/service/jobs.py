@@ -23,11 +23,10 @@ record:
 * **Single-flight** — concurrent submissions of the same cache key build
   once: followers wait for the leader and are then served from the
   memory tier.
-* **Supervision** — the bounded worker-thread pool borrows the parallel
-  engine's idioms: per-worker heartbeats (reported by ``/healthz``),
-  dead-worker detection with a bounded restart budget, and graceful
-  degradation — past the budget the supervisor itself drains the queue
-  sequentially, so one poisoned worker fleet never strands queued jobs.
+* **Worker pool** — a fixed pool of worker threads takes jobs off one
+  queue.  A job that raises anything, ``BaseException`` included, is
+  recorded on that job as an ``error`` and logged; the worker then takes
+  the next job, so a failing job never shrinks the pool.
 * **Bounded retention** — the job table and the canonical-net table are
   capped (``DEFAULT_MAX_JOBS``, ``DEFAULT_MAX_CANONICAL_NETS``): the oldest
   finished jobs and the least recently submitted nets are forgotten, so a
@@ -109,7 +108,6 @@ _STAGE_DEFAULTS = {
 DEFAULT_WORKERS = 2
 DEFAULT_CHECKPOINT_EVERY = 1000
 DEFAULT_PROGRESS_EVERY = 250
-MAX_RESTARTS = 3
 #: Job records kept in memory; beyond it the oldest finished jobs that
 #: cannot be resumed are forgotten (a later ``GET`` answers 404).
 DEFAULT_MAX_JOBS = 256
@@ -317,17 +315,18 @@ class Job:
 
 
 class _Worker:
-    """Bookkeeping of one pool thread (heartbeat + current job)."""
+    """One pool thread and the job it is running (reported by ``/healthz``)."""
 
-    def __init__(self, worker_id: int, thread: threading.Thread):
+    def __init__(self, worker_id: int, loop: Callable[["_Worker"], None]):
         self.id = worker_id
-        self.thread = thread
-        self.beat = time.monotonic()
         self.current_job: Optional[str] = None
+        self.thread = threading.Thread(
+            target=loop, name=f"repro-service-worker-{worker_id}", args=(self,), daemon=True
+        )
 
 
 class JobManager:
-    """Bounded, supervised job runner over a shared artifact cache.
+    """Bounded job runner over a shared artifact cache.
 
     Parameters
     ----------
@@ -348,9 +347,6 @@ class JobManager:
     checkpoint_every:
         Periodic-checkpoint cadence (expanded states) for control-capable
         stages; per-job ``checkpoint_every`` overrides it.
-    max_restarts:
-        Dead-worker restart budget before the pool degrades to
-        supervisor-drained sequential execution.
     clock:
         Monotonic time source handed to every job's ``RunControl``
         (injectable for deterministic deadline tests).
@@ -365,7 +361,6 @@ class JobManager:
         default_deadline: Optional[float] = None,
         state_dir: Optional[str] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        max_restarts: int = MAX_RESTARTS,
         clock: Callable[[], float] = time.monotonic,
     ):
         if workers < 1:
@@ -383,10 +378,7 @@ class JobManager:
             self._owns_state_dir = True
         self.default_deadline = default_deadline
         self.checkpoint_every = checkpoint_every
-        self.max_restarts = max_restarts
         self.clock = clock
-        self.degraded = False
-        self.restarts = 0
 
         self._lock = threading.RLock()
         self._queue: "queue.Queue[str]" = queue.Queue()
@@ -394,18 +386,9 @@ class JobManager:
         self._canonical: "OrderedDict[str, object]" = OrderedDict()  # fingerprint -> elected net
         self._inflight: Dict[str, threading.Event] = {}  # cache key -> done event
         self._stop = threading.Event()
-        #: Test/fault-injection seam: called with the job right before its
-        #: stage runs.  A ``BaseException`` raised here kills the worker
-        #: thread — exactly what the supervisor exists to absorb.
-        self._before_execute: Optional[Callable[[Job], None]] = None
-
-        self._workers: List[_Worker] = [
-            self._spawn_worker(index) for index in range(workers)
-        ]
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-service-supervisor", daemon=True
-        )
-        self._supervisor.start()
+        self._workers = [_Worker(index, self._worker_loop) for index in range(workers)]
+        for worker in self._workers:
+            worker.thread.start()
 
     # ------------------------------------------------------------------
     # Submission / inspection API (called from HTTP handler threads)
@@ -520,7 +503,6 @@ class JobManager:
         return job
 
     def health(self) -> Dict[str, object]:
-        now = time.monotonic()
         with self._lock:
             by_status: Dict[str, int] = {}
             for job in self._jobs.values():
@@ -530,17 +512,14 @@ class JobManager:
                     "id": worker.id,
                     "alive": worker.thread.is_alive(),
                     "current_job": worker.current_job,
-                    "seconds_since_heartbeat": round(now - worker.beat, 3),
                 }
                 for worker in self._workers
             ]
             return {
-                "status": "degraded" if self.degraded else "ok",
+                "status": "ok",
                 "jobs": by_status,
                 "queue_depth": self._queue.qsize(),
                 "workers": workers,
-                "restarts": self.restarts,
-                "max_restarts": self.max_restarts,
             }
 
     def cache_stats(self) -> Dict[str, object]:
@@ -562,37 +541,19 @@ class JobManager:
             if job.status == RUNNING:
                 job.token.cancel("server shutdown")
         deadline = time.monotonic() + timeout
-        for worker in list(self._workers):
+        for worker in self._workers:
             worker.thread.join(max(0.0, deadline - time.monotonic()))
-        self._supervisor.join(max(0.0, deadline - time.monotonic()))
         if self._owns_cache:
             self.cache.close()
         if self._owns_state_dir:
             shutil.rmtree(self.state_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # Worker pool + supervision
+    # Worker pool
     # ------------------------------------------------------------------
 
-    def _spawn_worker(self, worker_id: int) -> _Worker:
-        thread = threading.Thread(
-            target=self._worker_loop,
-            name=f"repro-service-worker-{worker_id}",
-            args=(worker_id,),
-            daemon=True,
-        )
-        worker = _Worker(worker_id, thread)
-        # The loop resolves its own bookkeeping record through the manager,
-        # so a restarted worker reuses the slot.
-        self._worker_records = getattr(self, "_worker_records", {})
-        self._worker_records[worker_id] = worker
-        thread.start()
-        return worker
-
-    def _worker_loop(self, worker_id: int) -> None:
+    def _worker_loop(self, worker: _Worker) -> None:
         while not self._stop.is_set():
-            worker = self._worker_records[worker_id]
-            worker.beat = time.monotonic()
             try:
                 job_id = self._queue.get(timeout=0.1)
             except queue.Empty:
@@ -602,60 +563,12 @@ class JobManager:
             try:
                 if job is not None:
                     self._execute(job)
-            except BaseException as error:  # noqa: BLE001 - workers must not die silently
+            except BaseException as error:  # noqa: BLE001 - one job's failure must not end the worker
                 self._record_failure(job, error)
-                if not isinstance(error, Exception):
-                    # A genuine thread-killer (injected fault, interpreter
-                    # teardown): let it end this worker; the supervisor
-                    # restarts within the bounded budget.
-                    raise
                 logger.exception("job %s failed", job_id)
             finally:
                 worker.current_job = None
                 self._queue.task_done()
-
-    def _supervise(self) -> None:
-        """Detect dead workers, restart within budget, degrade past it."""
-        while not self._stop.wait(0.05):
-            with self._lock:
-                workers = list(enumerate(self._workers))
-            for index, worker in workers:
-                if worker.thread.is_alive() or self._stop.is_set():
-                    continue
-                with self._lock:
-                    if self.restarts < self.max_restarts:
-                        self.restarts += 1
-                        logger.warning(
-                            "worker %d died; restarting (%d/%d)",
-                            worker.id,
-                            self.restarts,
-                            self.max_restarts,
-                        )
-                        self._workers[index] = self._spawn_worker(worker.id)
-                    elif not self.degraded:
-                        self.degraded = True
-                        logger.error(
-                            "worker restart budget exhausted; degrading to "
-                            "supervisor-drained sequential execution"
-                        )
-            if self.degraded:
-                self._drain_one_inline()
-
-    def _drain_one_inline(self) -> None:
-        """Degraded mode: the supervisor itself runs one queued job."""
-        try:
-            job_id = self._queue.get_nowait()
-        except queue.Empty:
-            return
-        job = self._jobs.get(job_id)
-        try:
-            if job is not None:
-                self._execute(job)
-        except BaseException as error:  # noqa: BLE001 - last line of defense
-            self._record_failure(job, error)
-            logger.exception("job %s failed in degraded mode", job_id)
-        finally:
-            self._queue.task_done()
 
     def _record_failure(self, job: Optional[Job], error: BaseException) -> None:
         if job is None:
@@ -677,9 +590,6 @@ class JobManager:
                 return  # cancelled while queued
             job.status = RUNNING
             job.started_at = time.time()
-        hook = self._before_execute
-        if hook is not None:
-            hook(job)
 
         # Single-flight per cache key: concurrent identical submissions
         # build once; followers wait and then hit the memory tier.
@@ -868,7 +778,6 @@ __all__ = [
     "INTERRUPTED",
     "Job",
     "JobManager",
-    "MAX_RESTARTS",
     "QUEUED",
     "RUNNING",
     "STAGE_KEYS",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass
@@ -139,5 +138,7 @@ class BatchMeans:
         if self.batch_count < 2 or np.allclose(rates, rates[0]):
             return ConfidenceInterval(estimate, 0.0, self.confidence)
         standard_error = float(np.std(rates, ddof=1) / np.sqrt(self.batch_count))
+        from scipy import stats as scipy_stats  # local import: scipy is heavy
+
         t_value = float(scipy_stats.t.ppf(0.5 + self.confidence / 2.0, self.batch_count - 1))
         return ConfidenceInterval(estimate, t_value * standard_error, self.confidence)

@@ -75,7 +75,7 @@ class LinExpr:
     #: stays structural — but interned instances make every dictionary probe
     #: an identity hit (dict lookup checks ``is`` before ``==``) and carry a
     #: cached hash, which is what the symbolic comparator's memo tables and
-    #: the multiprocess engine's cross-shard dedup lean on.  The table is
+    #: the timed engine's state dedup lean on.  The table is
     #: LRU-bounded (long-running services must not grow memory without
     #: limit); evicting a canonical instance is harmless because interning
     #: is advisory — the evicted instance stays valid wherever referenced and

@@ -18,6 +18,13 @@ from repro.protocols import (
 from repro.reachability import decision_graph, timed_reachability_graph
 
 
+def pytest_configure(config):
+    # ``timeout`` belongs to pytest-timeout, which CI installs; registering
+    # it here keeps runs without the plugin free of unknown-mark warnings.
+    # With the plugin installed the marker still bounds the test.
+    config.addinivalue_line("markers", "timeout(seconds): per-test time limit (pytest-timeout)")
+
+
 @pytest.fixture(scope="session")
 def paper_net():
     """The numeric Figure-1 net with the paper's parameters."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -115,6 +116,30 @@ class TestArtifactCache:
             assert cache.stats()["disk_entries"] == 1
             assert cache.clear() == 1
             assert cache.stats()["disk_entries"] == 0
+
+    def test_memory_only_fetch_never_encodes(self):
+        encoded = []
+
+        def encode(artifact):
+            encoded.append(artifact)
+            return b""
+
+        cache = ArtifactCache()
+        value, tier = cache.fetch("k", stage="s", build=lambda: {"x": 1}, encode=encode)
+        assert tier == "built" and value == {"x": 1}
+        assert encoded == []
+        assert cache.stats()["stores"] == 1
+
+    def test_disk_fetch_encodes_once(self, tmp_path):
+        encoded = []
+
+        def encode(artifact):
+            encoded.append(artifact)
+            return pickle.dumps(artifact)
+
+        with ArtifactCache(str(tmp_path / "cache")) as cache:
+            cache.fetch("k", stage="s", build=lambda: {"x": 1}, encode=encode)
+        assert encoded == [{"x": 1}]
 
     def test_rejects_bad_memory_limit(self):
         with pytest.raises(ValueError):

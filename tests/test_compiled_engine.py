@@ -7,13 +7,16 @@ used-constraint labels.  These tests enforce that equivalence on every
 bundled workload, cover the ``engine`` selection knob, the ``max_states``
 bound and the overlap policies, and pin down the hot-path bugfixes that
 shipped with the engine (uniform zero-frequency fallback, lossless
-``edge_table`` rendering, O(1) marking lookups).  The workload registry and
+``edge_table`` rendering, O(1) marking lookups, the coverability
+parent-index chain, the shared branch-probability cache, and tables that
+pickle without their memo working sets).  The workload registry and
 graph-equality assertions live in the shared harness :mod:`engine_diff`,
 which the untimed/GSPN differential tests reuse.
 """
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,14 @@ from engine_diff import (
     build_symbolic_timed_pair,
     build_timed_pair,
 )
-from repro.exceptions import MarkingError, SafenessViolationError, UnboundedNetError
+from repro.engine import NetTables
+from repro.exceptions import (
+    InsufficientConstraintsError,
+    MarkingError,
+    SafenessViolationError,
+    UnboundedNetError,
+)
+from repro.petri import coverability_graph
 from repro.petri.builder import NetBuilder
 from repro.petri.marking import Marking
 from repro.protocols import (
@@ -42,7 +52,13 @@ from repro.reachability import (
     symbolic_timed_reachability_graph,
     timed_reachability_graph,
 )
-from repro.reachability.algebra import NumericProbabilityAlgebra, numeric_algebras
+from repro.reachability.algebra import (
+    NumericProbabilityAlgebra,
+    branch_cache_stats,
+    clear_branch_caches,
+    numeric_algebras,
+)
+from repro.symbolic import time_symbol
 
 
 class TestDifferentialEquivalence:
@@ -253,3 +269,146 @@ class TestWindowWorkloads:
             sliding_window_net(2, loss_probability=2)
         with pytest.raises(ValueError):
             go_back_n_net(2, loss_probability=-1)
+
+
+class TestTablesPickling:
+    """Tables pickle through the spill store and the artifact cache's disk
+    tier without their memo working sets."""
+
+    def test_round_trip_preserves_tables(self):
+        net = sliding_window_net(2, loss_probability=Fraction(1, 10))
+        tables = NetTables(net)
+        vec = tables.initial_vector()
+        tables.enabled_transitions(vec)  # populate the memo that must be dropped
+        clone = pickle.loads(pickle.dumps(tables))
+        assert clone.place_names == tables.place_names
+        assert clone.transition_names == tables.transition_names
+        assert clone.inputs == tables.inputs
+        assert clone.outputs == tables.outputs
+        assert clone.deltas == tables.deltas
+        assert clone.consumers_of_place == tables.consumers_of_place
+        assert clone.group_of == tables.group_of
+
+    def test_enabled_memo_not_pickled(self):
+        net = sliding_window_net(2)
+        tables = NetTables(net)
+        tables.enabled_transitions(tables.initial_vector())
+        assert tables._enabled_cache
+        clone = pickle.loads(pickle.dumps(tables))
+        assert clone._enabled_cache == {}
+        # ... and the clone still computes the same enabled sets.
+        vec = clone.initial_vector()
+        assert clone.enabled_transitions(vec) == tables.enabled_transitions(vec)
+
+    def test_fire_after_round_trip(self):
+        net = go_back_n_net(2, loss_probability=Fraction(1, 10))
+        tables = NetTables(net)
+        clone = pickle.loads(pickle.dumps(tables))
+        vec = tables.initial_vector()
+        for transition in tables.enabled_transitions(vec):
+            assert clone.fire_atomic(vec, transition) == tables.fire_atomic(vec, transition)
+
+    def test_compiled_net_drops_timed_memo_caches(self):
+        time_algebra, probability_algebra = numeric_algebras()
+        engine = CompiledSuccessorEngine(
+            sliding_window_net(2, loss_probability=Fraction(1, 10)),
+            time_algebra,
+            probability_algebra,
+        )
+        compiled = engine.compiled
+        # Populate every memo the timed construction maintains.
+        state = engine.initial_state()
+        for edge in engine.successors(state):
+            engine.successors(edge.target)
+        assert compiled._enabled_cache and compiled._choice_cache
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._enabled_cache == {}
+        assert clone._choice_cache == {}
+        assert clone._advance_cache == {}
+        # ... while the structural and algebra columns survive.
+        assert clone.transition_names == compiled.transition_names
+        assert clone.enabling_value == compiled.enabling_value
+        assert clone.firing_value == compiled.firing_value
+        assert clone.group_of == compiled.group_of
+
+
+class TestInsufficientConstraints:
+    def test_unordered_timers_raise_typed(self):
+        # Two concurrent symbolic timers with no ordering constraint: both
+        # engines must fail with the comparator's typed error.
+        builder = NetBuilder("unordered-timers")
+        builder.place("p1", "timer 1 armed", tokens=1)
+        builder.place("p2", "timer 2 armed", tokens=1)
+        builder.transition("t1", inputs=["p1"], outputs=[], firing_time=time_symbol("A"))
+        builder.transition("t2", inputs=["p2"], outputs=[], firing_time=time_symbol("B"))
+        net = builder.build()
+        for engine in ("compiled", "reference"):
+            with pytest.raises(InsufficientConstraintsError):
+                symbolic_timed_reachability_graph(net, (), engine=engine)
+
+
+class TestCoverabilityParentChain:
+    """The parent-index chain must reproduce the ancestor-tuple semantics."""
+
+    def test_deep_graph_matches_reference(self):
+        # go-back-N serializes sends, so its coverability exploration is deep
+        # relative to its width — the shape the O(n·depth) ancestor tuples
+        # were worst at.
+        net = go_back_n_net(3, loss_probability=Fraction(1, 10))
+        compiled = coverability_graph(net, engine="compiled")
+        reference = coverability_graph(net, engine="reference")
+        assert [n.vector for n in compiled.nodes] == [n.vector for n in reference.nodes]
+        assert compiled.edges == reference.edges
+
+    def test_unbounded_net_still_accelerates(self):
+        compiled = coverability_graph(simple_protocol_net(), engine="compiled")
+        reference = coverability_graph(simple_protocol_net(), engine="reference")
+        assert not compiled.is_bounded()
+        assert compiled.unbounded_places() == reference.unbounded_places()
+        assert [n.vector for n in compiled.nodes] == [n.vector for n in reference.nodes]
+
+
+class TestBranchProbabilityCache:
+    """The cross-construction cache keyed on conflict-set frequency tuples."""
+
+    def setup_method(self):
+        clear_branch_caches()
+
+    def teardown_method(self):
+        clear_branch_caches()
+
+    def test_repeated_numeric_builds_hit_the_cache(self):
+        build = lambda: timed_reachability_graph(
+            sliding_window_net(2, loss_probability=Fraction(1, 10))
+        )
+        first = build()
+        after_first = branch_cache_stats()["numeric"]
+        second = build()
+        after_second = branch_cache_stats()["numeric"]
+        # The window slots share frequency tuples, so even the first build
+        # hits; the second build derives nothing new.
+        assert after_second["size"] == after_first["size"]
+        assert after_second["hits"] > after_first["hits"]
+        # Sharing the derivation must not change the graph.
+        assert [e.probability for e in second.edges] == [e.probability for e in first.edges]
+
+    def test_repeated_symbolic_builds_share_ratfunc_quotients(self):
+        net, constraints, _symbols = simple_protocol_symbolic()
+        first = symbolic_timed_reachability_graph(net, constraints)
+        after_first = branch_cache_stats()["symbolic"]
+        assert after_first["size"] > 0
+        net2, constraints2, _symbols2 = simple_protocol_symbolic()
+        second = symbolic_timed_reachability_graph(net2, constraints2)
+        after_second = branch_cache_stats()["symbolic"]
+        assert after_second["size"] == after_first["size"]
+        assert after_second["hits"] > after_first["hits"]
+        assert [e.probability for e in second.edges] == [e.probability for e in first.edges]
+
+    def test_clear_resets_counters(self):
+        timed_reachability_graph(sliding_window_net(2, loss_probability=Fraction(1, 10)))
+        clear_branch_caches()
+        stats = branch_cache_stats()
+        for flavour in ("numeric", "symbolic"):
+            assert stats[flavour]["size"] == 0
+            assert stats[flavour]["hits"] == 0
+            assert stats[flavour]["misses"] == 0

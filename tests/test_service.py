@@ -485,9 +485,46 @@ class TestErrorsAndHealth:
         status, body = client.request("GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["restarts"] == 0
+        assert set(body) == {"status", "jobs", "queue_depth", "workers"}
         assert len(body["workers"]) == 2
         assert all(worker["alive"] for worker in body["workers"])
+        assert all(set(worker) == {"id", "alive", "current_job"} for worker in body["workers"])
+
+    def test_base_exception_fails_only_its_job(self, tmp_path, monkeypatch):
+        # A BaseException escaping a stage (not an Exception, so no stage
+        # handler catches it) is recorded on its job; the single worker
+        # stays alive and serves the next job.
+        class PoisonPill(BaseException):
+            pass
+
+        original = AnalysisSession.untimed_graph
+
+        def untimed_graph(session, net, *, max_states=100_000, **kwargs):
+            if max_states == 4321:
+                raise PoisonPill("injected")
+            return original(session, net, max_states=max_states, **kwargs)
+
+        monkeypatch.setattr(AnalysisSession, "untimed_graph", untimed_graph)
+        server = make_server("127.0.0.1", 0, cache_dir=str(tmp_path / "cache"), workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = Client(server)
+            poisoned = client.submit(window_net(2), "untimed", params={"max_states": 4321})
+            poisoned = client.wait(poisoned["id"])
+            assert poisoned["status"] == "error"
+            assert poisoned["error"]["type"] == "PoisonPill"
+            record = client.run(window_net(2), "untimed")
+            assert record["result"]["states"] > 0
+            status, body = client.request("GET", "/healthz")
+            assert status == 200
+            assert body["status"] == "ok"
+            assert len(body["workers"]) == 1
+            assert all(worker["alive"] for worker in body["workers"])
+            assert body["jobs"] == {"error": 1, "done": 1}
+        finally:
+            server.close()
+            thread.join(timeout=5)
 
     def test_cache_stats_shape(self, service):
         _, client = service

@@ -150,6 +150,32 @@ class TestSimulator:
         assert interval.low <= interval.estimate <= interval.high
         assert "±" in str(interval)
 
+    def test_batch_means_interval_uses_student_t(self):
+        # Uneven batches, so the interval takes the t-quantile path (the one
+        # place the simulation statistics need scipy): the half-widths at two
+        # confidence levels differ exactly by the ratio of the quantiles.
+        from scipy import stats as scipy_stats
+
+        events = [float(i) for i in range(1, 1000) if i % 100 < 10 + i // 100]
+        narrow = BatchMeans(10, 0.95).interval(events, horizon=1000.0)
+        wide = BatchMeans(10, 0.99).interval(events, horizon=1000.0)
+        assert 0 < narrow.half_width < wide.half_width < float("inf")
+        ratio = scipy_stats.t.ppf(0.995, 9) / scipy_stats.t.ppf(0.975, 9)
+        assert wide.half_width / narrow.half_width == pytest.approx(float(ratio))
+
+    def test_import_loads_neither_scipy_nor_multiprocessing(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.analysis, repro.service; "
+            "print(sorted(m for m in ('scipy', 'multiprocessing') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
+
     def test_statistics_summary_shape(self):
         result = simulate(token_ring_net(2), horizon=500)
         summary = result.statistics.summary()
