@@ -94,10 +94,13 @@ BATCHED_ENGINE_MODELS = [
 #: wide-frontier workload (all but the token ring).
 BATCHED_FLOOR_MODELS = frozenset(label for label, _constructor in BATCHED_ENGINE_MODELS[:3])
 
-#: The standing window-4 model of the warm-cache row: the lossy sender with
-#: compressed delays (packet/ack 2, timeout 6) closes at ~35k timed states —
-#: big enough that a cold analysis is expensive, small enough for CI.
 def warm_cache_model():
+    """The standing window-4 model of the warm-cache row.
+
+    The lossy sender with compressed delays (packet/ack 2, timeout 6) closes
+    at ~35k timed states: big enough that a cold analysis is expensive,
+    small enough for CI.
+    """
     return sliding_window_net(
         4,
         loss_probability=Fraction(1, 10),

@@ -18,9 +18,9 @@ runs the integer-indexed backend of :mod:`repro.engine.untimed` over the
 shared frontier loop, ``"reference"`` the readable marking-based
 constructions in this module, and :func:`reachability_graph` additionally
 accepts ``"batched"`` — the numpy level-batched kernel of
-:mod:`repro.engine.batched`.  All engines are required to produce bit-identical graphs — same node
-numbering, same edge list — which ``tests/engine_diff.py`` enforces
-differentially on every bundled workload.
+:mod:`repro.engine.batched`.  All engines are required to produce
+bit-identical graphs — same node numbering, same edge list — which
+``tests/engine_diff.py`` enforces differentially on every bundled workload.
 """
 
 from __future__ import annotations
