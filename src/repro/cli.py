@@ -88,6 +88,17 @@ def _load_model(arguments) -> "TimedPetriNet":  # noqa: F821 - forward name for 
     return catalog[arguments.model]()
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
@@ -903,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=2,
         help="concurrent job-runner threads",
     )

@@ -363,8 +363,8 @@ class JobManager:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {workers!r}")
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else ArtifactCache(cache_dir)
         if state_dir is not None:

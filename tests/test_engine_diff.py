@@ -7,13 +7,22 @@ coverability and the GSPN marking graph — with ``engine="compiled"`` and
 shared harness in :mod:`engine_diff`.  The untimed and GSPN families also
 run through the third engine value, ``engine="batched"`` (the numpy
 level-batched kernel), held to the same standard.  Workloads that are
-unbounded under a semantics must fail identically through every engine.
+unbounded under a semantics must fail identically through every engine,
+every state cap must fire at the same count through every engine, and
+no graph may depend on the interpreter's string-hash seed.
 
 CI runs this module (plus the randomized companion
 ``test_engine_random.py``) as a named differential gate.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -39,7 +48,7 @@ from engine_diff import (
 )
 from repro.exceptions import UnboundedNetError
 from repro.petri import coverability_graph, reachability_graph
-from repro.protocols import simple_protocol_net, sliding_window_net
+from repro.protocols import selective_repeat_net, simple_protocol_net, sliding_window_net
 from repro.reachability import symbolic_timed_reachability_graph, timed_reachability_graph
 from repro.stochastic import GSPNAnalysis
 
@@ -280,3 +289,248 @@ class TestGSPNDifferential:
         )
         assert_gspn_explorations_identical(compiled, reference)
         assert_gspn_results_identical(compiled.solve(), reference.solve())
+
+
+#: Engines of each graph family.
+UNTIMED_ENGINES = ("compiled", "batched", "reference")
+TIMED_ENGINES = ("compiled", "reference")
+
+BOUNDED_UNTIMED = [
+    (label, constructor)
+    for label, constructor in NUMERIC_WORKLOADS
+    if label not in UNBOUNDED_UNTIMED
+]
+
+BOUNDED_GSPN = [
+    (label, constructor)
+    for label, constructor in NUMERIC_WORKLOADS
+    if GSPN_SETTINGS.get(label, {}) is not None
+]
+
+#: The alternating-bit coverability graph (4,142 nodes) is left out of the
+#: cap check only for its cost; ``TestCoverabilityDifferential`` builds it
+#: in full through both engines.
+CAPPED_COVERABILITY = [
+    (label, constructor)
+    for label, constructor in NUMERIC_WORKLOADS
+    if label != "alternating-bit"
+]
+
+
+def timed_cap_message(cap):
+    return (
+        f"timed reachability graph exceeded {cap} states; the net may be "
+        "unbounded under the timed semantics or the bound is too small"
+    )
+
+
+def cap_error(build, cap):
+    """The message a build capped at ``cap`` fails with."""
+    with pytest.raises(UnboundedNetError) as excinfo:
+        build(cap)
+    return str(excinfo.value)
+
+
+class TestStateCapBoundary:
+    """``max_states``/``max_nodes`` is inclusive and engine-independent.
+
+    A cap equal to the full graph's size builds the same graph as an
+    uncapped build; one less fails with the same message through every
+    engine, so no engine stops a state early or admits one too many.
+    """
+
+    @pytest.mark.parametrize(
+        "label,constructor", BOUNDED_UNTIMED, ids=[label for label, _ in BOUNDED_UNTIMED]
+    )
+    def test_untimed(self, label, constructor):
+        net = constructor()
+        full = reachability_graph(net, engine="reference")
+        size = full.state_count
+        for engine in UNTIMED_ENGINES:
+            capped = reachability_graph(net, engine=engine, max_states=size)
+            assert_untimed_graphs_identical(capped, full)
+        messages = {
+            cap_error(lambda cap: reachability_graph(net, engine=engine, max_states=cap), size - 1)
+            for engine in UNTIMED_ENGINES
+        }
+        assert messages == {
+            f"untimed reachability exceeded {size - 1} markings; the net "
+            "is unbounded or the bound is too small"
+        }
+
+    @pytest.mark.parametrize(
+        "label,constructor", BOUNDED_GSPN, ids=[label for label, _ in BOUNDED_GSPN]
+    )
+    def test_gspn(self, label, constructor):
+        net = constructor()
+        settings = dict(GSPN_SETTINGS.get(label, {}))
+        settings.pop("solve", None)
+        full = GSPNAnalysis(net, engine="reference", **settings)
+        size = len(full._explore()[0])
+        for engine in UNTIMED_ENGINES:
+            capped = GSPNAnalysis(net, engine=engine, max_states=size, **settings)
+            assert_gspn_explorations_identical(capped, full)
+        messages = {
+            cap_error(
+                lambda cap: GSPNAnalysis(
+                    net, engine=engine, max_states=cap, **settings
+                )._explore(),
+                size - 1,
+            )
+            for engine in UNTIMED_ENGINES
+        }
+        assert messages == {f"GSPN marking graph exceeded {size - 1} markings"}
+
+    @pytest.mark.parametrize("label,constructor", TIMED_WORKLOADS, ids=TIMED_WORKLOAD_IDS)
+    def test_timed(self, label, constructor):
+        net = constructor()
+        full = timed_reachability_graph(net, engine="reference")
+        size = full.state_count
+        for engine in TIMED_ENGINES:
+            capped = timed_reachability_graph(net, engine=engine, max_states=size)
+            assert_timed_graphs_identical(capped, full)
+        messages = {
+            cap_error(
+                lambda cap: timed_reachability_graph(net, engine=engine, max_states=cap),
+                size - 1,
+            )
+            for engine in TIMED_ENGINES
+        }
+        assert messages == {timed_cap_message(size - 1)}
+
+    def test_symbolic_timed(self):
+        net, constraints = symbolic_workload()
+        full = symbolic_timed_reachability_graph(net, constraints, engine="reference")
+        size = full.state_count
+        for engine in TIMED_ENGINES:
+            capped = symbolic_timed_reachability_graph(
+                net, constraints, engine=engine, max_states=size
+            )
+            assert_timed_graphs_identical(capped, full)
+        messages = {
+            cap_error(
+                lambda cap: symbolic_timed_reachability_graph(
+                    net, constraints, engine=engine, max_states=cap
+                ),
+                size - 1,
+            )
+            for engine in TIMED_ENGINES
+        }
+        assert messages == {timed_cap_message(size - 1)}
+
+    @pytest.mark.parametrize(
+        "label,constructor",
+        CAPPED_COVERABILITY,
+        ids=[label for label, _ in CAPPED_COVERABILITY],
+    )
+    def test_coverability(self, label, constructor):
+        net = constructor()
+        full = coverability_graph(net, engine="reference", max_nodes=20_000)
+        size = full.node_count
+        for engine in TIMED_ENGINES:
+            capped = coverability_graph(net, engine=engine, max_nodes=size)
+            assert_coverability_graphs_identical(capped, full)
+        messages = {
+            cap_error(lambda cap: coverability_graph(net, engine=engine, max_nodes=cap), size - 1)
+            for engine in TIMED_ENGINES
+        }
+        assert messages == {f"coverability construction exceeded {size - 1} nodes"}
+
+
+def _seed_check_net():
+    # Several window slots: their transitions and places are named alike,
+    # so any order taken from a set or dict of names would show here.
+    return selective_repeat_net(2, loss_probability=Fraction(1, 10))
+
+
+def _gspn_payload(engine):
+    analysis = GSPNAnalysis(_seed_check_net(), engine=engine)
+    result = analysis.solve()
+    return (
+        analysis._explore(),
+        result.stationary.tobytes(),
+        sorted(result.throughput.items()),
+    )
+
+
+#: One build per graph family and engine, reduced to everything observable
+#: in a form whose text does not itself depend on the hash seed.
+SEED_CHECK_BUILDS = {
+    "untimed-compiled": lambda: _untimed_payload("compiled"),
+    "untimed-batched": lambda: _untimed_payload("batched"),
+    "gspn-compiled": lambda: _gspn_payload("compiled"),
+    "gspn-batched": lambda: _gspn_payload("batched"),
+    "coverability-compiled": lambda: _coverability_payload(),
+    "timed-compiled": lambda: _timed_payload(
+        timed_reachability_graph(_seed_check_net(), engine="compiled")
+    ),
+    "symbolic-timed-compiled": lambda: _timed_payload(
+        symbolic_timed_reachability_graph(*symbolic_workload(), engine="compiled")
+    ),
+}
+
+
+def _untimed_payload(engine):
+    graph = reachability_graph(_seed_check_net(), engine=engine)
+    return graph.markings, graph.edges
+
+
+def _coverability_payload():
+    graph = coverability_graph(_seed_check_net(), engine="compiled")
+    return [node.vector for node in graph.nodes], graph.edges
+
+
+def _timed_payload(graph):
+    return graph.initial_index, graph.state_table(), graph.edge_table()
+
+
+def seed_check_digest(family):
+    """SHA-256 of one ``SEED_CHECK_BUILDS`` payload."""
+    return hashlib.sha256(repr(SEED_CHECK_BUILDS[family]()).encode("utf-8")).hexdigest()
+
+
+def seed_check_digests():
+    return {family: seed_check_digest(family) for family in SEED_CHECK_BUILDS}
+
+
+@pytest.fixture(scope="module")
+def digests_by_seed():
+    """The digests computed in fresh interpreters under two hash seeds."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(tests_dir, os.pardir, "src")
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        [tests_dir, src_dir, environment.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    script = "import json, test_engine_diff; print(json.dumps(test_engine_diff.seed_check_digests()))"
+    digests = {}
+    for seed in ("0", "1"):
+        environment["PYTHONHASHSEED"] = seed
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests[seed] = json.loads(completed.stdout)
+    return digests
+
+
+class TestHashSeedIndependence:
+    """Graphs do not depend on the interpreter's string-hash seed.
+
+    Every engine numbers states in FIFO discovery order and emits edges in
+    transition-table order; an order leaking from a set or dict keyed by
+    place or transition names would change from one interpreter to the
+    next.  Each family is built here and in two fresh interpreters
+    (``PYTHONHASHSEED`` 0 and 1) and must digest identically.
+    """
+
+    @pytest.mark.timeout(600)
+    @pytest.mark.parametrize("family", sorted(SEED_CHECK_BUILDS))
+    def test_family(self, family, digests_by_seed):
+        here = seed_check_digest(family)
+        assert digests_by_seed["0"][family] == here
+        assert digests_by_seed["1"][family] == here

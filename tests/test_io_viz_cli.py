@@ -228,6 +228,28 @@ class TestCli:
         ) == 0
         assert "build stats: not recorded by this engine" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command,engine",
+        [
+            (["untimed", "--model", "selective-repeat"], "batched"),
+            (["untimed", "--model", "selective-repeat"], "reference"),
+            (["reachability", "--model", "sliding-window", "--table"], "reference"),
+        ],
+        ids=["untimed-batched", "untimed-reference", "reachability-reference"],
+    )
+    def test_engine_choice_changes_only_the_engine_line(self, command, engine, capsys):
+        def report(arguments):
+            assert main(arguments) == 0
+            return [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("engine")
+            ]
+
+        default = report(command)
+        assert len(default) > 5
+        assert report(command + ["--engine", engine]) == default
+
     def test_reachability_rejects_batched_engine(self, capsys):
         # The timed builders have no batched backend; argparse rejects the
         # value up front (exit code 2).

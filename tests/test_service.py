@@ -542,6 +542,167 @@ class TestErrorsAndHealth:
         assert body["inflight_builds"] == 0
 
 
+def wait_for_job(manager, job, timeout: float = 60.0) -> dict:
+    """Poll one in-process job until it reaches a terminal status."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        record = manager.describe(job)
+        if record["status"] in TERMINAL:
+            return record
+        time.sleep(0.02)
+    raise AssertionError(f"job {job.id} did not finish in {timeout}s")
+
+
+class _Injected(BaseException):
+    """Escapes every ``except Exception`` handler, like an interpreter exit."""
+
+
+#: Stage -> (the AnalysisSession method its worker calls, net, params).
+POISONABLE_STAGES = {
+    "tables": ("fetch_tiered", window_net, {}),
+    "untimed": ("untimed_graph", window_net, {}),
+    "coverability": ("coverability_graph", window_net, {}),
+    "gspn": ("gspn_solution", window_net, {}),
+    "decision": ("decision", simple_protocol_net, {}),
+    "performance": ("performance", simple_protocol_net, {}),
+    "query": ("query", window_net, {"kind": "deadlock"}),
+}
+
+
+def poison_once(monkeypatch, method: str, error: BaseException) -> None:
+    """Make the next call of ``AnalysisSession.<method>`` raise ``error``."""
+    original = getattr(AnalysisSession, method)
+    armed = [True]
+
+    def poisoned(session, *args, **kwargs):
+        if armed[0]:
+            armed[0] = False
+            raise error
+        return original(session, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisSession, method, poisoned)
+
+
+class TestWorkerPool:
+    """The service's plain worker loop: pool sizing and per-job failure.
+
+    A job whose stage raises anything — including ``BaseException``
+    subclasses no stage handler catches — ends as ``error`` with the
+    exception's type name; the worker that ran it stays alive and takes
+    the next job.
+    """
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True, "two"])
+    def test_invalid_worker_count_rejected(self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            JobManager(cache_dir=str(tmp_path / "cache"), workers=workers)
+        # Rejected before the cache (and its directory) or the pool exist.
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_size_reported_and_used(self, tmp_path, workers):
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=workers)
+        try:
+            health = manager.health()
+            assert [worker["id"] for worker in health["workers"]] == list(range(workers))
+            assert all(worker["alive"] for worker in health["workers"])
+            requests = [
+                {"net": net_payload(window_net(size)), "stage": stage}
+                for size in (1, 2)
+                for stage in ("tables", "untimed", "coverability")
+            ]
+            jobs = [manager.submit(parse_job(body)) for body in requests[: 2 * workers]]
+            records = [wait_for_job(manager, job) for job in jobs]
+            assert [record["status"] for record in records] == ["done"] * len(jobs)
+            health = manager.health()
+            assert health["jobs"] == {"done": len(jobs)}
+            assert health["queue_depth"] == 0
+            assert all(worker["alive"] for worker in health["workers"])
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize("stage", sorted(POISONABLE_STAGES))
+    def test_escaping_exception_fails_only_its_job(self, tmp_path, monkeypatch, stage):
+        method, constructor, params = POISONABLE_STAGES[stage]
+        poison_once(monkeypatch, method, _Injected(f"{stage} poisoned"))
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1)
+        try:
+            body = {"net": net_payload(constructor()), "stage": stage, "params": params}
+            failed = wait_for_job(manager, manager.submit(parse_job(body)))
+            assert failed["status"] == "error"
+            assert failed["error"] == {"type": "_Injected", "message": f"{stage} poisoned"}
+            # The same request again runs the real stage on the same worker.
+            retried = wait_for_job(manager, manager.submit(parse_job(body)))
+            assert retried["status"] == "done", retried
+            assert retried["cache"]["tier"] == "built"
+            health = manager.health()
+            assert health["jobs"] == {"error": 1, "done": 1}
+            assert [worker["alive"] for worker in health["workers"]] == [True]
+            assert health["workers"][0]["current_job"] is None
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize(
+        "error",
+        [SystemExit(3), KeyboardInterrupt(), RuntimeError("boom"), MemoryError()],
+        ids=["SystemExit", "KeyboardInterrupt", "RuntimeError", "MemoryError"],
+    )
+    def test_any_exception_type_is_recorded(self, tmp_path, monkeypatch, error):
+        poison_once(monkeypatch, "untimed_graph", error)
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1)
+        try:
+            body = {"net": net_payload(window_net(2)), "stage": "untimed"}
+            failed = wait_for_job(manager, manager.submit(parse_job(body)))
+            assert failed["status"] == "error"
+            assert failed["error"]["type"] == type(error).__name__
+            assert wait_for_job(manager, manager.submit(parse_job(body)))["status"] == "done"
+            assert all(worker["alive"] for worker in manager.health()["workers"])
+        finally:
+            manager.shutdown()
+
+    def test_every_worker_survives_a_failure(self, tmp_path, monkeypatch):
+        # Every job of the first wave fails on whichever worker takes it;
+        # the same pool then completes a second wave with every worker alive.
+        original = AnalysisSession.untimed_graph
+
+        def untimed_graph(session, net, *, max_states=100_000, **kwargs):
+            if max_states == 4321:
+                raise _Injected("first wave")
+            return original(session, net, max_states=max_states, **kwargs)
+
+        monkeypatch.setattr(AnalysisSession, "untimed_graph", untimed_graph)
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=2)
+        try:
+            first = [
+                manager.submit(parse_job({
+                    "net": net_payload(window_net(size)),
+                    "stage": "untimed",
+                    "params": {"max_states": 4321},
+                }))
+                for size in (1, 2, 3, 4)
+            ]
+            assert [wait_for_job(manager, job)["status"] for job in first] == ["error"] * 4
+            second = [
+                manager.submit(parse_job({"net": net_payload(window_net(size)), "stage": "untimed"}))
+                for size in (1, 2, 3, 4)
+            ]
+            assert [wait_for_job(manager, job)["status"] for job in second] == ["done"] * 4
+            health = manager.health()
+            assert health["jobs"] == {"error": 4, "done": 4}
+            assert [worker["alive"] for worker in health["workers"]] == [True, True]
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_cli_serve_rejects_invalid_job_count(self, jobs, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class _RecordingSocket:
     """A socket stand-in: serves canned request bytes, records every send."""
 
